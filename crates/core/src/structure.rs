@@ -220,9 +220,8 @@ impl MultiPlacementStructure {
         self.query_slice(dims, scratch)
     }
 
-    /// The raw-slice query walk both the typed path and the deprecated
-    /// `*_pairs` shims delegate to — one implementation, so the two are
-    /// bit-identical by construction.
+    /// The query walk behind every typed entry point — one
+    /// implementation, so they are bit-identical by construction.
     fn query_slice(&self, dims: &[(Coord, Coord)], scratch: &mut Vec<u32>) -> Option<PlacementId> {
         scratch.clear();
         if dims.len() != self.bounds.len() {
@@ -303,9 +302,9 @@ impl MultiPlacementStructure {
         self.fallback_slice(dims)
     }
 
-    /// The uncovered-space dispatch shared by every `*_or_fallback`
-    /// entry point (typed and deprecated alike): the installed template,
-    /// or the canonical single-row packing when none is installed.
+    /// The uncovered-space dispatch shared by both `*_or_fallback`
+    /// entry points: the installed template, or the canonical single-row
+    /// packing when none is installed.
     fn fallback_slice(&self, dims: &[(Coord, Coord)]) -> Placement {
         match &self.fallback {
             Some(t) => t.instantiate(dims),
@@ -340,116 +339,6 @@ impl MultiPlacementStructure {
     pub fn instantiate_compacted_or_fallback(&self, dims: &Dims) -> Placement {
         assert_eq!(dims.len(), self.bounds.len(), "dimension arity mismatch");
         if let Some(p) = self.instantiate_compacted(dims) {
-            return p;
-        }
-        self.fallback_slice(dims)
-    }
-
-    // -----------------------------------------------------------------
-    // Deprecated raw-slice entry points. One release of migration room:
-    // each is a thin delegate of its typed replacement, so answers are
-    // bit-identical. Removal requires a CHANGES.md note (enforced by the
-    // public-API snapshot test in `tests/public_api_snapshot.rs`).
-    // -----------------------------------------------------------------
-
-    /// [`Self::query`] over a raw pair slice.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a typed `mps_geom::Dims` and call `query`"
-    )]
-    #[must_use]
-    pub fn query_pairs(&self, dims: &[(Coord, Coord)]) -> Option<PlacementId> {
-        let mut scratch = Vec::new();
-        self.query_slice(dims, &mut scratch)
-    }
-
-    /// [`Self::query_with_scratch`] over a raw pair slice.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a typed `mps_geom::Dims` and call `query_with_scratch`"
-    )]
-    #[must_use]
-    pub fn query_with_scratch_pairs(
-        &self,
-        dims: &[(Coord, Coord)],
-        scratch: &mut Vec<u32>,
-    ) -> Option<PlacementId> {
-        self.query_slice(dims, scratch)
-    }
-
-    /// [`Self::query_batch`] over raw pair vectors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct typed `mps_geom::Dims` vectors and call `query_batch`"
-    )]
-    #[must_use]
-    pub fn query_batch_pairs(&self, queries: &[Vec<(Coord, Coord)>]) -> Vec<Option<PlacementId>> {
-        let mut scratch = Vec::new();
-        queries
-            .iter()
-            .map(|dims| self.query_slice(dims, &mut scratch))
-            .collect()
-    }
-
-    /// [`Self::instantiate`] over a raw pair slice.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a typed `mps_geom::Dims` and call `instantiate`"
-    )]
-    #[must_use]
-    pub fn instantiate_pairs(&self, dims: &[(Coord, Coord)]) -> Option<Placement> {
-        let mut scratch = Vec::new();
-        self.query_slice(dims, &mut scratch)
-            .and_then(|id| self.entry(id))
-            .map(|e| e.placement.clone())
-    }
-
-    /// [`Self::instantiate_or_fallback`] over a raw pair slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dims.len()` differs from the block count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a typed `mps_geom::Dims` and call `instantiate_or_fallback`"
-    )]
-    #[must_use]
-    pub fn instantiate_or_fallback_pairs(&self, dims: &[(Coord, Coord)]) -> Placement {
-        assert_eq!(dims.len(), self.bounds.len(), "dimension arity mismatch");
-        #[allow(deprecated)]
-        if let Some(p) = self.instantiate_pairs(dims) {
-            return p;
-        }
-        self.fallback_slice(dims)
-    }
-
-    /// [`Self::instantiate_compacted`] over a raw pair slice.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a typed `mps_geom::Dims` and call `instantiate_compacted`"
-    )]
-    #[must_use]
-    pub fn instantiate_compacted_pairs(&self, dims: &[(Coord, Coord)]) -> Option<Placement> {
-        let mut scratch = Vec::new();
-        self.query_slice(dims, &mut scratch)
-            .and_then(|id| self.entry(id))
-            .map(|e| SequencePair::from_placement(&e.placement, &e.best_dims).pack(dims))
-    }
-
-    /// [`Self::instantiate_compacted_or_fallback`] over a raw pair slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dims.len()` differs from the block count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a typed `mps_geom::Dims` and call `instantiate_compacted_or_fallback`"
-    )]
-    #[must_use]
-    pub fn instantiate_compacted_or_fallback_pairs(&self, dims: &[(Coord, Coord)]) -> Placement {
-        assert_eq!(dims.len(), self.bounds.len(), "dimension arity mismatch");
-        #[allow(deprecated)]
-        if let Some(p) = self.instantiate_compacted_pairs(dims) {
             return p;
         }
         self.fallback_slice(dims)

@@ -33,15 +33,15 @@
 //!   counters surface through `stats`.
 //! * [`Server`] + the `mps-serve` binary — a line-delimited JSON protocol
 //!   (`query`, `batch_query`, `instantiate`, `reload`, `stats`,
-//!   `list_structures`) over stdin/stdout and localhost TCP, with
-//!   request ids + pipelining (many requests in flight per connection,
-//!   responses tagged and out of order) and a [`WorkerPool`] behind
-//!   instantiation and tagged dispatch. TCP connections are owned by a
-//!   fixed pool of shared-nothing shard event loops (one per core by
-//!   default) instead of one thread each, so tens of thousands of idle
-//!   or bursty clients cost no stacks and no context-switch storms;
-//!   where the platform has no readiness primitive the server falls
-//!   back to thread-per-connection at runtime. Malformed input of any
+//!   `list_structures`) over stdin/stdout and localhost TCP, one pump
+//!   per transport. Stdin is answered sequentially, in request order.
+//!   TCP connections are owned by a fixed pool of shared-nothing shard
+//!   event loops (one per core by default) instead of one thread each,
+//!   so tens of thousands of idle or bursty clients cost no stacks and
+//!   no context-switch storms; there, request ids + pipelining keep
+//!   many requests in flight per connection, and heavy tagged requests
+//!   run on a [`WorkerPool`] and come back tagged and out of order.
+//!   Both pumps share one line framing. Malformed input of any
 //!   kind is answered with a typed error line; the server never dies on
 //!   input — a panicking handler costs one `internal` error response,
 //!   never a poisoned lock. The full wire contract is specified in
@@ -80,9 +80,9 @@ mod telemetry;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks a mutex, recovering from poisoning. Every mutex in this crate
-/// guards data that is valid at any interleaving (monotonic counters, an
-/// id high-water mark, fully rendered response lines, an LRU map), so a
-/// panic on one connection's thread must cost that one request — not,
+/// guards data that is valid at any interleaving (monotonic counters,
+/// fully rendered response lines, an LRU map), so a panic on one
+/// serving thread must cost that one request — not,
 /// via a poisoned `.expect`, every other connection that ever touches
 /// the lock again.
 pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -92,7 +92,7 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub use cache::{AnswerCache, CacheClass, CacheLookup, CacheStats, MissToken};
 pub use compiled::{CompiledQueryIndex, QueryScratch};
 pub use compiled_v2::{CompiledIndex, CompiledQueryIndexV2, IndexPlan};
-pub use pool::{PoolError, WorkerPool};
+pub use pool::WorkerPool;
 #[cfg(feature = "serde")]
 pub use protocol::{
     error_response, parse_envelope, parse_request, tagged_error_response, Envelope, EnvelopeError,

@@ -1,10 +1,10 @@
 //! A small fixed-size worker pool for request-side parallelism.
 //!
-//! Instantiation (and large batch queries) fan out over these workers;
-//! the pool is deliberately boring: long-lived named threads, one shared
-//! job channel, panic isolation per job (a panicking handler yields a
-//! typed error to one client instead of killing the server), and a
-//! draining `Drop`.
+//! Heavy tagged TCP requests (uncached instantiates, triggered
+//! refinement, the chunks of a large batch) run on these workers; the
+//! pool is deliberately boring: long-lived named threads, one shared
+//! job channel, panic isolation per job (a panicking job costs its one
+//! response, never a worker), and a draining `Drop`.
 
 use crate::lock_recover;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,79 +70,14 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Submits a fire-and-forget job (the pipelined server uses this
-    /// directly: the job itself writes its response and signals its
-    /// connection's drain counter).
+    /// Submits a fire-and-forget job: the job itself delivers its
+    /// response (see `Server::submit_heavy`).
     pub(crate) fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.tx
             .as_ref()
             .expect("pool alive while not dropped")
             .send(Box::new(job))
             .expect("workers outlive the sender");
-    }
-
-    /// Runs one job on the pool and blocks for its result.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` when the job panicked; the worker survives.
-    pub fn run<R, F>(&self, job: F) -> Result<R, PoolError>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        let (tx, rx) = channel();
-        self.execute(move || {
-            let result = catch_unwind(AssertUnwindSafe(job));
-            let _ = tx.send(result);
-        });
-        rx.recv().map_err(|_| PoolError)?.map_err(|_| PoolError)
-    }
-
-    /// Maps `f` over `items` on the pool, preserving input order in the
-    /// result. Blocks until every item is done.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` when any job panicked (after every job finished);
-    /// the workers survive.
-    pub fn map_in_order<T, R, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, PoolError>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let f = Arc::new(f);
-        let (tx, rx) = channel();
-        for (i, item) in items.into_iter().enumerate() {
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            self.execute(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| f(item)));
-                let _ = tx.send((i, result));
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut panicked = false;
-        for _ in 0..n {
-            let (i, result) = rx.recv().map_err(|_| PoolError)?;
-            match result {
-                Ok(r) => slots[i] = Some(r),
-                Err(_) => panicked = true,
-            }
-        }
-        if panicked {
-            return Err(PoolError);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every index answered"))
-            .collect())
     }
 }
 
@@ -167,68 +102,41 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
             guard.recv()
         };
         match job {
-            // The last line of panic isolation: `run`/`map_in_order`
-            // catch inside their own jobs, but raw `execute` jobs (the
-            // pipelined server's) must not be able to kill a worker.
+            // Panic isolation: the server's jobs deliver their response
+            // from a drop guard, so a panic here has already been
+            // answered; it must not kill the worker too.
             Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
             Err(_) => break, // pool dropped
         }
     }
 }
 
-/// A job submitted to the pool panicked (the worker itself survived).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolError;
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("a pool job panicked")
-    }
-}
-
-impl std::error::Error for PoolError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn run_returns_results_and_survives_panics() {
+    fn execute_survives_panicking_jobs() {
         let pool = WorkerPool::new(2);
         assert_eq!(pool.workers(), 2);
-        assert_eq!(pool.run(|| 21 * 2).unwrap(), 42);
-        assert_eq!(pool.run(|| -> i32 { panic!("boom") }), Err(PoolError));
-        // The worker that caught the panic still serves.
-        assert_eq!(pool.run(|| "alive").unwrap(), "alive");
-    }
-
-    #[test]
-    fn map_in_order_preserves_order() {
-        let pool = WorkerPool::new(3);
-        let items: Vec<usize> = (0..100).collect();
-        let out = pool.map_in_order(items, |x| x * x).unwrap();
-        assert_eq!(out, (0..100).map(|x| x * x).collect::<Vec<_>>());
-        assert!(pool
-            .map_in_order(Vec::<usize>::new(), |x| x)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn map_in_order_reports_panics_without_killing_workers() {
-        let pool = WorkerPool::new(2);
-        let result = pool.map_in_order(vec![1usize, 2, 3], |x| {
-            assert!(x != 2, "poisoned item");
-            x
-        });
-        assert_eq!(result, Err(PoolError));
-        assert_eq!(pool.run(|| 7).unwrap(), 7);
+        let (tx, rx) = channel();
+        for i in 0..4 {
+            pool.execute(|| panic!("boom"));
+            let tx = tx.clone();
+            pool.execute(move || tx.send(i * 2).unwrap());
+        }
+        // Every job after a panic still runs: no worker died.
+        let mut got: Vec<i32> = rx.iter().take(4).collect();
+        got.sort_unstable();
+        assert_eq!(got, [0, 2, 4, 6]);
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.workers(), 1);
-        assert_eq!(pool.run(|| 1).unwrap(), 1);
+        let (tx, rx) = channel();
+        pool.execute(move || tx.send(1).unwrap());
+        assert_eq!(rx.recv().unwrap(), 1);
     }
 }

@@ -253,7 +253,7 @@ type Snapshot = Arc<HashMap<String, Arc<ServedStructure>>>;
 ///
 /// See the module docs for the snapshot discipline. All methods are
 /// `&self`; the registry is shared as `Arc<StructureRegistry>` between
-/// the stdin loop, TCP connection threads and the worker pool.
+/// the stdin pump, the TCP shard loops and the worker pool.
 #[derive(Debug)]
 pub struct StructureRegistry {
     dir: Option<PathBuf>,

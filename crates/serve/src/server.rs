@@ -1,18 +1,20 @@
 //! Request dispatch: the engine behind the `mps-serve` binary.
 //!
 //! [`Server::handle_line`] turns one protocol line into one response
-//! line; [`Server::serve`] pumps any `BufRead`/`Write` pair through it
-//! sequentially; [`Server::serve_pipelined`] additionally runs tagged
-//! requests on the worker pool so one connection can keep many requests
-//! in flight (responses come back out of order, matched by their `req`
-//! tag); [`Server::serve_tcp`] accepts connections onto a fixed pool of
-//! shared-nothing [shard](crate::shard) event loops, all sharing the
-//! same registry snapshots, worker pool and [`AnswerCache`]. The server
+//! line. Two pumps carry a stream through it, one per transport:
+//! [`Server::serve`] answers any `BufRead`/`Write` pair (stdin/stdout in
+//! the binary) sequentially, in request order; [`Server::serve_tcp`]
+//! accepts connections onto a fixed pool of shared-nothing
+//! [shard](crate::shard) event loops, all sharing the same registry
+//! snapshots, worker pool and [`AnswerCache`], where heavy tagged
+//! requests run on the pool and come back out of order, matched by their
+//! `req` tag. Both frame lines with the same
+//! [`RecvBuffer`](crate::shard::RecvBuffer). The server
 //! never dies on input: a malformed line yields a typed error response,
 //! and a panicking handler is caught and answered as an `internal`
 //! error. A panic can also never poison the server: every shared lock
 //! recovers via [`lock_recover`] (the guarded data — counters, rendered
-//! lines, id high-water marks — is valid at any interleaving), so one
+//! lines, batch chunk slots — is valid at any interleaving), so one
 //! crashing request cannot take down the other connections.
 
 use crate::cache::{AnswerCache, CacheClass, CacheLookup};
@@ -22,20 +24,22 @@ use crate::protocol::{
     id_value, ok_header, parse_envelope, tagged_error_response, ErrorKind, Request, RequestError,
 };
 use crate::registry::{ServedStructure, StructureRegistry};
-use crate::shard::ShardSet;
+use crate::shard::{RecvBuffer, ShardSet, MAX_LINE_BYTES};
 use crate::telemetry::{HistogramSnapshot, Stage, StageTrace, StripedCounters, Telemetry};
 use mps_core::PlacementId;
 use mps_geom::Dims;
 use mps_placer::Placement;
 use serde::{Map, Serialize, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Batches at or above this many vectors fan out over the worker pool.
+/// Tagged TCP batches at or above this many vectors fan out over the
+/// worker pool; every other batch is answered in place with one
+/// `query_batch`.
 const PARALLEL_BATCH_THRESHOLD: usize = 256;
 
 /// Floor on the per-chunk size of a fanned-out batch: chunks smaller
@@ -62,9 +66,8 @@ fn ns_between(from: Instant, to: Instant) -> u64 {
     u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// How one rendered reply leaves a heavy (pooled) request: the shard
-/// event loop hands completions back to the owning shard's inbox; the
-/// pipelined pump writes them straight to the connection writer.
+/// How one rendered reply leaves a heavy (pooled) request: back to the
+/// owning shard's inbox, plus a wake of its event loop.
 /// [`Server::submit_heavy`] guarantees exactly one invocation per
 /// submitted request, panics included.
 pub(crate) type ResponseSink = Arc<dyn Fn(Reply) + Send + Sync>;
@@ -81,8 +84,8 @@ pub(crate) enum Reply {
 /// Construction knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker pool threads behind instantiation, large batches and
-    /// pipelined tagged requests (clamped to at least 1).
+    /// Worker pool threads behind the heavy tagged requests of TCP
+    /// connections (clamped to at least 1).
     pub workers: usize,
     /// Total answer-cache capacity in entries; 0 disables the cache.
     pub cache_entries: usize,
@@ -150,7 +153,7 @@ impl ServerConfig {
 #[derive(Debug, Default)]
 pub(crate) struct ConnState {
     /// The highest accepted request id, once the connection went tagged.
-    last_id: Mutex<Option<u64>>,
+    last_id: Option<u64>,
 }
 
 /// What [`Server::admit`] decided about one input line.
@@ -171,13 +174,10 @@ pub(crate) enum Admitted {
 }
 
 /// Telemetry context one admitted request carries into
-/// [`Server::complete`]: where it runs and how long admission and the
-/// pool queue already cost it.
+/// [`Server::complete`]: how long admission and the pool queue already
+/// cost it.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ReqCtx {
-    /// The request executes on a pool worker (nested fan-out must not
-    /// wait on a second pool slot).
-    pub on_pool_worker: bool,
     /// Parse time from `admit`, for the slow-ring total.
     pub parse_ns: u64,
     /// Queue wait between `submit_heavy` and the worker picking the job
@@ -189,7 +189,6 @@ impl ReqCtx {
     /// Context for a request dispatched inline on the admitting thread.
     pub(crate) fn inline(parse_ns: u64) -> Self {
         Self {
-            on_pool_worker: false,
             parse_ns,
             pool_ns: 0,
         }
@@ -199,7 +198,7 @@ impl ReqCtx {
 /// Ties the `connections_open` gauge to a connection's actual lifetime:
 /// the decrement lives in `Drop`, so it runs on clean close, on I/O
 /// error, and — the case a plain `fetch_sub` after the serve call used
-/// to miss — when the connection's thread panics mid-serve. A leaked
+/// to miss — when the thread owning the connection panics. A leaked
 /// gauge is not cosmetic: `max_connections` admission reads it.
 #[derive(Debug)]
 pub(crate) struct OpenConnGuard {
@@ -228,39 +227,7 @@ enum Outcome {
     Frame(Vec<u8>),
 }
 
-/// In-flight counter for one pipelined connection, so EOF can drain
-/// every pooled response before the pump returns.
-#[derive(Debug, Default)]
-struct Pending {
-    count: Mutex<usize>,
-    done: Condvar,
-}
-
-impl Pending {
-    fn begin(&self) {
-        *lock_recover(&self.count) += 1;
-    }
-
-    fn end(&self) {
-        let mut count = lock_recover(&self.count);
-        *count -= 1;
-        if *count == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn drain(&self) {
-        let mut count = lock_recover(&self.count);
-        while *count > 0 {
-            count = self
-                .done
-                .wait(count)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-fn write_reply_to<W: Write>(writer: &mut W, reply: &Reply) -> std::io::Result<()> {
+fn write_reply_to<W: Write>(writer: &mut W, reply: &Reply) -> io::Result<()> {
     match reply {
         Reply::Line(line) => {
             writer.write_all(line.as_bytes())?;
@@ -273,14 +240,10 @@ fn write_reply_to<W: Write>(writer: &mut W, reply: &Reply) -> std::io::Result<()
     writer.flush()
 }
 
-fn write_reply<W: Write>(writer: &Mutex<W>, reply: &Reply) -> std::io::Result<()> {
-    write_reply_to(&mut *lock_recover(writer), reply)
-}
-
 /// The query-serving engine: a registry snapshot discipline on the read
 /// side, a sharded LRU [`AnswerCache`] in front of the compiled query
-/// plans, a worker pool on the instantiation/pipelining side, and
-/// counters for the `stats` request.
+/// plans, a worker pool behind heavy tagged TCP requests, and counters
+/// for the `stats` request.
 #[derive(Debug)]
 pub struct Server {
     registry: Arc<StructureRegistry>,
@@ -383,18 +346,24 @@ impl Server {
         )
     }
 
-    /// Counts and renders a refusal that never reached `admit` — the
-    /// shard loop's oversized-line guard drops the buffered bytes
-    /// before they could be parsed as a request. The refusal still
-    /// costs one request + one error in the counters and records a
-    /// zero-length parse span, so refused traffic stays visible in the
-    /// `metrics` parse-stage counts exactly like parse failures that
-    /// did reach the parser.
-    pub(crate) fn refuse_preadmission(&self, error: &RequestError) -> String {
+    /// Counts and renders the refusal of a request line that outgrew
+    /// [`MAX_LINE_BYTES`] before its newline arrived. Both pumps drop
+    /// the buffered bytes unparsed, so the refusal never reaches
+    /// `admit`; it still costs one request + one error in the counters
+    /// and records a zero-length parse span, so refused traffic stays
+    /// visible in the `metrics` parse-stage counts exactly like parse
+    /// failures that did reach the parser.
+    pub(crate) fn refuse_oversized_line(&self) -> String {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.errors.fetch_add(1, Ordering::Relaxed);
         self.telemetry.record(Stage::Parse, 0);
-        tagged_error_response(None, error)
+        tagged_error_response(
+            None,
+            &RequestError::new(
+                ErrorKind::Protocol,
+                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            ),
+        )
     }
 
     /// The telemetry hub shared by every serving thread.
@@ -445,11 +414,10 @@ impl Server {
     /// gets exactly one response line, errors included. This
     /// convenience path answers in JSON only: the `"encoding":"bin"`
     /// frame opt-in is a transport feature of the streaming pumps
-    /// (`serve`, `serve_pipelined`, `serve_tcp`) and is ignored here.
+    /// (`serve`, `serve_tcp`) and is ignored here.
     #[must_use]
     pub fn handle_line(&self, line: &str) -> Option<String> {
-        let state = ConnState::default();
-        match self.admit(&state, line) {
+        match self.admit(&mut ConnState::default(), line) {
             Admitted::Blank => None,
             Admitted::Reply(response) => Some(response),
             Admitted::Run {
@@ -479,7 +447,7 @@ impl Server {
     /// Framing-layer admission: parses the line, enforces the
     /// tagged-request contract (ids strictly increasing; once tagged,
     /// always tagged), and counts the request.
-    pub(crate) fn admit(&self, state: &ConnState, line: &str) -> Admitted {
+    pub(crate) fn admit(&self, state: &mut ConnState, line: &str) -> Admitted {
         let line = line.trim();
         if line.is_empty() {
             return Admitted::Blank;
@@ -499,7 +467,7 @@ impl Server {
                 return Admitted::Reply(tagged_error_response(e.id, &e.error));
             }
         };
-        let mut last_id = lock_recover(&state.last_id);
+        let last_id = &mut state.last_id;
         match envelope.id {
             Some(id) => {
                 if let Some(prev) = *last_id {
@@ -570,15 +538,13 @@ impl Server {
         trace.add(Stage::Pool, ctx.pool_ns);
         let dispatch_started = enabled.then(Instant::now);
         // A handler bug must cost one error response, not the server.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.dispatch(request, ctx.on_pool_worker, &mut trace)
-        }))
-        .unwrap_or_else(|_| {
-            Err(RequestError::new(
-                ErrorKind::Internal,
-                "request handler panicked; the server keeps serving",
-            ))
-        });
+        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(request, &mut trace)))
+            .unwrap_or_else(|_| {
+                Err(RequestError::new(
+                    ErrorKind::Internal,
+                    "request handler panicked; the server keeps serving",
+                ))
+            });
         let reply = match result {
             Ok(Outcome::Map(mut map)) => {
                 if let Some(id) = id {
@@ -622,157 +588,87 @@ impl Server {
     }
 
     /// Pumps requests from `reader` to `writer` sequentially until EOF:
-    /// responses come back in request order, tagged or not. Each response
-    /// line is flushed immediately so pipelined clients never stall.
+    /// responses come back in request order, tagged or not, and each is
+    /// flushed immediately so pipelining clients never stall. Lines are
+    /// framed exactly like a TCP connection's: a line that is not valid
+    /// UTF-8 is decoded lossily and answered with a typed error, and a
+    /// line that outgrows 8 MiB without a newline is refused with one
+    /// `protocol` error line and ends the stream.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error on either side.
-    pub fn serve<R: BufRead, W: Write>(&self, reader: R, mut writer: W) -> std::io::Result<()> {
-        let state = ConnState::default();
-        for line in reader.lines() {
-            let line = line?;
-            let reply = match self.admit(&state, &line) {
-                Admitted::Blank => continue,
-                Admitted::Reply(response) => Reply::Line(response),
-                Admitted::Run {
-                    id,
-                    request,
-                    parse_ns,
-                } => self.complete(id, request, ReqCtx::inline(parse_ns)),
+    pub fn serve<R: BufRead, W: Write>(&self, mut reader: R, mut writer: W) -> io::Result<()> {
+        let mut state = ConnState::default();
+        let mut recv = RecvBuffer::default();
+        loop {
+            let chunk = match reader.fill_buf() {
+                Ok([]) => break,
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
             };
-            write_reply_to(&mut writer, &reply)?;
-        }
-        Ok(())
-    }
-
-    /// Pumps one connection with pipelining: the client may keep any
-    /// number of requests in flight. Cheap requests (queries, cached
-    /// instantiates, stats, ...) are answered inline on the connection
-    /// thread — cross-client parallelism comes from thread-per-connection
-    /// — while heavy requests (uncached instantiates, large batches) are
-    /// offloaded to the worker pool so they cannot head-of-line-block the
-    /// cheap stream behind them; their responses are written as they
-    /// finish, out of order, matched by `req`. EOF drains every in-flight
-    /// response before returning.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first I/O error seen by the reading side; write
-    /// failures inside pooled responses end silently (the client hung
-    /// up — not a server error).
-    pub fn serve_pipelined<R, W>(self: &Arc<Self>, reader: R, writer: W) -> std::io::Result<()>
-    where
-        R: BufRead,
-        W: Write + Send + 'static,
-    {
-        let writer = Arc::new(Mutex::new(writer));
-        let state = Arc::new(ConnState::default());
-        let pending = Arc::new(Pending::default());
-        let mut result = Ok(());
-        for line in reader.lines() {
-            let line = match line {
-                Ok(line) => line,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            };
-            let outcome = match self.admit(&state, &line) {
-                Admitted::Blank => Ok(()),
-                Admitted::Reply(response) => write_reply(&writer, &Reply::Line(response)),
-                Admitted::Run {
-                    id: None,
-                    request,
-                    parse_ns,
-                } => {
-                    let reply = self.complete(None, request, ReqCtx::inline(parse_ns));
-                    write_reply(&writer, &reply)
-                }
-                Admitted::Run {
-                    id: Some(id),
-                    request,
-                    parse_ns,
-                } if !self.is_heavy(&request) => {
-                    let reply = self.complete(Some(id), request, ReqCtx::inline(parse_ns));
-                    write_reply(&writer, &reply)
-                }
-                Admitted::Run {
-                    id: Some(id),
-                    request,
-                    parse_ns,
-                } => {
-                    pending.begin();
-                    let writer = Arc::clone(&writer);
-                    let pending = Arc::clone(&pending);
-                    // submit_heavy invokes the sink exactly once on
-                    // every path, panics included — the EOF drain can
-                    // never be left waiting forever.
-                    let sink: ResponseSink = Arc::new(move |reply: Reply| {
-                        let _ = write_reply(&writer, &reply);
-                        pending.end();
-                    });
-                    self.submit_heavy(id, request, parse_ns, sink);
-                    Ok(())
-                }
-            };
-            if let Err(e) = outcome {
-                result = Err(e);
-                break;
+            let n = chunk.len();
+            recv.extend(chunk);
+            reader.consume(n);
+            while let Some(line) = recv.next_line() {
+                self.answer_in_order(&mut state, &line, &mut writer)?;
+            }
+            if recv.overflowed() {
+                return write_reply_to(&mut writer, &Reply::Line(self.refuse_oversized_line()));
             }
         }
-        pending.drain();
-        result
+        match recv.take_trailing() {
+            Some(line) => self.answer_in_order(&mut state, &line, &mut writer),
+            None => Ok(()),
+        }
+    }
+
+    /// Admits, answers and writes one line of [`Server::serve`]'s
+    /// stream on the calling thread.
+    fn answer_in_order<W: Write>(
+        &self,
+        state: &mut ConnState,
+        line: &str,
+        writer: &mut W,
+    ) -> io::Result<()> {
+        let reply = match self.admit(state, line) {
+            Admitted::Blank => return Ok(()),
+            Admitted::Reply(response) => Reply::Line(response),
+            Admitted::Run {
+                id,
+                request,
+                parse_ns,
+            } => self.complete(id, request, ReqCtx::inline(parse_ns)),
+        };
+        write_reply_to(writer, &reply)
     }
 
     /// Accepts TCP connections forever onto a fixed pool of
     /// shared-nothing shard event loops (see [`ServerConfig::shards`]),
-    /// all sharing the same registry snapshots, pool and cache. On
-    /// platforms without a readiness primitive ([`netpoll::Poller::new`]
-    /// reports `Unsupported`) it falls back to one pipelined thread per
-    /// connection. Either way [`ServerConfig::max_connections`] caps the
-    /// open set: an accept beyond it is answered with one `overloaded`
-    /// error line and closed.
-    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) {
-        match ShardSet::spawn(self, self.config.effective_shards()) {
-            Ok(shards) => {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    // Response lines are small; Nagle + delayed ACK
-                    // would add ~40ms stalls per exchange on a chatty
-                    // protocol like this.
-                    let _ = stream.set_nodelay(true);
-                    let Some(guard) = self.admit_connection(&stream) else {
-                        continue;
-                    };
-                    shards.assign(stream, guard);
-                }
-            }
-            Err(_) => self.serve_tcp_threaded(listener),
-        }
-    }
-
-    /// The thread-per-connection fallback for platforms netpoll cannot
-    /// serve; every connection still runs the full pipelined pump.
-    fn serve_tcp_threaded(self: &Arc<Self>, listener: TcpListener) {
+    /// all sharing the same registry snapshots, pool and cache.
+    /// [`ServerConfig::max_connections`] caps the open set: an accept
+    /// beyond it is answered with one `overloaded` error line and
+    /// closed.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a shard cannot start: its poller cannot be created
+    /// (fd exhaustion, for example) or its thread cannot spawn. Accept
+    /// errors on single connections are skipped, never returned.
+    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
+        let shards = ShardSet::spawn(self, self.config.effective_shards())?;
         for stream in listener.incoming() {
             let Ok(stream) = stream else { continue };
+            // Response lines are small; Nagle + delayed ACK would add
+            // ~40ms stalls per exchange on a chatty protocol like this.
             let _ = stream.set_nodelay(true);
             let Some(guard) = self.admit_connection(&stream) else {
                 continue;
             };
-            let server = Arc::clone(self);
-            std::thread::spawn(move || {
-                // The guard's Drop keeps the open-connection gauge
-                // honest even when the serve call below panics.
-                let _guard = guard;
-                if let Ok(read_half) = stream.try_clone() {
-                    // Client disconnects surface as I/O errors; the
-                    // connection thread just ends.
-                    let _ = server.serve_pipelined(BufReader::new(read_half), stream);
-                }
-            });
+            shards.assign(stream, guard);
         }
+        Ok(())
     }
 
     /// Admission control at accept time: counts the connection and
@@ -807,8 +703,8 @@ impl Server {
         OpenConnGuard::new(Arc::clone(self))
     }
 
-    /// Whether a request deserves a worker-pool slot instead of the
-    /// connection thread: only work that takes long enough to
+    /// Whether a tagged request deserves a worker-pool slot instead of
+    /// the shard thread: only work that takes long enough to
     /// head-of-line-block the pipelined stream behind it. A cached
     /// instantiate replays stored bytes in well under a microsecond, so
     /// it stays inline (the peek takes no lock promotion and counts no
@@ -887,15 +783,8 @@ impl Server {
                         id,
                         reply: None,
                     };
-                    delivery.reply = Some(server.complete(
-                        Some(id),
-                        request,
-                        ReqCtx {
-                            on_pool_worker: true,
-                            parse_ns,
-                            pool_ns,
-                        },
-                    ));
+                    delivery.reply =
+                        Some(server.complete(Some(id), request, ReqCtx { parse_ns, pool_ns }));
                 });
             }
         }
@@ -988,12 +877,7 @@ impl Server {
         }
     }
 
-    fn dispatch(
-        &self,
-        request: Request,
-        on_pool_worker: bool,
-        trace: &mut StageTrace,
-    ) -> Result<Outcome, RequestError> {
+    fn dispatch(&self, request: Request, trace: &mut StageTrace) -> Result<Outcome, RequestError> {
         let enabled = self.telemetry.enabled();
         match request {
             Request::Query { structure, dims } => {
@@ -1073,8 +957,12 @@ impl Server {
                         heat.record(dims);
                     }
                 }
+                // Batches bypass the answer cache deliberately: the
+                // compiled index answers an element in ~150ns, cheaper
+                // than any per-element cache lookup could be, and batch
+                // lines are wire-bound anyway.
                 let index_started = enabled.then(Instant::now);
-                let ids = self.batch_ids(&served, dims_list, on_pool_worker)?;
+                let ids = served.index().query_batch(&dims_list);
                 if let Some(t) = index_started {
                     trace.add(Stage::Index, ns_since(t));
                 }
@@ -1127,10 +1015,9 @@ impl Server {
                 if let Some(heat) = self.telemetry.heat_for(&structure, || heat_bounds(&served)) {
                     heat.record(&dims);
                 }
-                // Computed right here: a synchronous pool.run handoff
-                // would only add a thread wake per request (the pipelined
-                // pump already decides *before* dispatch whether this
-                // request deserves a pool slot).
+                // Computed right here: the shard loop already decides
+                // *before* dispatch whether this request deserves a pool
+                // slot.
                 let index_started = enabled.then(Instant::now);
                 let (id, placement) = materialize(&served, &dims);
                 // Shared clock read: index span end = render span start.
@@ -1289,35 +1176,6 @@ impl Server {
     /// by snapshot).
     fn count_structure(&self, name: &str, n: u64) {
         self.per_structure.add(name, n);
-    }
-
-    /// Answers a batch: sequentially through one scratch buffer for
-    /// small batches, fanned out in chunks over the worker pool for
-    /// large ones (unless this thread *is* a pool worker, which must
-    /// never wait on a second pool slot). Batches bypass the answer
-    /// cache deliberately: the compiled index answers an element in
-    /// ~150ns, cheaper than any per-element cache lookup could be, and
-    /// batch lines are wire-bound anyway.
-    fn batch_ids(
-        &self,
-        served: &Arc<ServedStructure>,
-        dims_list: Vec<Dims>,
-        on_pool_worker: bool,
-    ) -> Result<Vec<Option<PlacementId>>, RequestError> {
-        if on_pool_worker || dims_list.len() < PARALLEL_BATCH_THRESHOLD || self.pool.workers() == 1
-        {
-            return Ok(served.index().query_batch(&dims_list));
-        }
-        let chunk_len = dims_list.len().div_ceil(self.pool.workers() * 4);
-        let chunks: Vec<Vec<Dims>> = dims_list.chunks(chunk_len).map(<[Dims]>::to_vec).collect();
-        let worker_input = Arc::clone(served);
-        let answered = self
-            .pool
-            .map_in_order(chunks, move |chunk| {
-                worker_input.index().query_batch(&chunk)
-            })
-            .map_err(|_| RequestError::new(ErrorKind::Internal, "batch worker panicked"))?;
-        Ok(answered.into_iter().flatten().collect())
     }
 
     fn stats(&self) -> Map {
@@ -1754,6 +1612,7 @@ mod tests {
     use mps_core::{GeneratorConfig, MpsGenerator};
     use mps_geom::Coord;
     use mps_netlist::benchmarks;
+    use std::io::BufReader;
 
     fn test_registry() -> Arc<StructureRegistry> {
         let circuit = benchmarks::circ01();
@@ -2131,7 +1990,7 @@ mod tests {
 
     #[test]
     fn pipelined_serving_answers_every_tagged_request() {
-        let server = Arc::new(test_server());
+        let server = test_server();
         let served = server.registry().get("circ01").unwrap();
         let bounds = served.structure().bounds().to_vec();
         let vector = |k: usize| -> Dims {
@@ -2155,24 +2014,9 @@ mod tests {
                 pairs.join(",")
             ));
         }
-        // The pipelined pump needs W: Send + 'static; collect through a
-        // shared buffer.
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = SharedBuf::default();
-        server
-            .serve_pipelined(input.as_bytes(), buf.clone())
-            .unwrap();
-        let output = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let mut output = Vec::new();
+        server.serve(input.as_bytes(), &mut output).unwrap();
+        let output = String::from_utf8(output).unwrap();
         let mut seen = vec![false; n];
         for line in output.lines() {
             let value = parse(line);
@@ -2207,28 +2051,84 @@ mod tests {
                 .collect()
         };
         let dims_list: Vec<Dims> = (0..PARALLEL_BATCH_THRESHOLD + 100).map(vector).collect();
-        let expected = served.structure().query_batch(&dims_list);
-        let pooled = server.batch_ids(&served, dims_list.clone(), false).unwrap();
-        assert_eq!(pooled, expected);
-        // The inline (pool-worker) path answers identically.
-        let inline = server.batch_ids(&served, dims_list, true).unwrap();
-        assert_eq!(inline, expected);
+        let rendered: Vec<String> = dims_list
+            .iter()
+            .map(|dims| {
+                let pairs: Vec<String> = dims.iter().map(|(w, h)| format!("[{w},{h}]")).collect();
+                format!("[{}]", pairs.join(","))
+            })
+            .collect();
+        // Untagged, so answered in place: one pass, no pool.
+        let response = parse(
+            &server
+                .handle_line(&format!(
+                    r#"{{"kind":"batch_query","structure":"circ01","dims_list":[{}]}}"#,
+                    rendered.join(",")
+                ))
+                .unwrap(),
+        );
+        let expected: Vec<Value> = served
+            .structure()
+            .query_batch(&dims_list)
+            .into_iter()
+            .map(id_value)
+            .collect();
+        assert_eq!(response.get("ids"), Some(&Value::Array(expected)));
     }
 
-    /// Regression: `Pending` used `.expect("pending lock poisoned")`,
-    /// so one panic while holding the count turned every later
-    /// begin/end/drain on the connection into a second panic.
+    /// A line that is not valid UTF-8 costs one typed error response,
+    /// not the stream: the line after it is still answered.
     #[test]
-    fn pending_counter_recovers_from_a_poisoned_lock() {
-        let pending = Pending::default();
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = pending.count.lock().unwrap();
-            panic!("poison the pending lock");
-        }));
-        assert!(pending.count.is_poisoned());
-        pending.begin();
-        pending.end();
-        pending.drain();
+    fn serve_answers_past_an_invalid_utf8_line() {
+        let server = test_server();
+        let input = b"{\"kind\":\"list_structures\"}\n\xff\n{\"kind\":\"list_structures\"}\n";
+        let mut output = Vec::new();
+        server.serve(&input[..], &mut output).unwrap();
+        let lines: Vec<Value> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(parse)
+            .collect();
+        assert_eq!(lines.len(), 3, "one response per request line");
+        assert_eq!(lines[0].get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(lines[1].get("ok").and_then(Value::as_bool), Some(false));
+        assert_eq!(
+            lines[1]
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Value::as_str),
+            Some("parse")
+        );
+        assert_eq!(lines[2].get("ok").and_then(Value::as_bool), Some(true));
+        assert!(lines[2].get("names").is_some(), "{:?}", lines[2]);
+    }
+
+    /// The stdin pump caps a newline-less line exactly like a TCP
+    /// connection: one `exceeds` refusal, counted, then the stream ends.
+    #[test]
+    fn serve_refuses_an_oversized_line_and_counts_it() {
+        let server = test_server();
+        let mut input = b"{\"kind\":\"list_structures\"}\n".to_vec();
+        input.resize(input.len() + MAX_LINE_BYTES + 1, b'x');
+        let mut output = Vec::new();
+        server.serve(&input[..], &mut output).unwrap();
+        let lines: Vec<Value> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(parse)
+            .collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(lines[0].get("ok").and_then(Value::as_bool), Some(true));
+        let error = lines[1].get("error").unwrap();
+        assert_eq!(error.get("kind").and_then(Value::as_str), Some("protocol"));
+        assert!(error
+            .get("message")
+            .and_then(Value::as_str)
+            .is_some_and(|m| m.contains("exceeds")));
+        let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        let counters = stats.get("counters").unwrap();
+        assert_eq!(counters.get("requests").and_then(Value::as_u64), Some(3));
+        assert_eq!(counters.get("errors").and_then(Value::as_u64), Some(1));
     }
 
     /// Regression, now structural: the per-structure query counters

@@ -4,27 +4,24 @@
 //! Accepted connections are handed round-robin to a fixed pool of shard
 //! threads; each shard owns its subset outright (no connection is ever
 //! touched by two shards) and pumps all of them through one
-//! non-blocking readiness loop over a [`netpoll::Poller`].
-//! Per-connection buffered read/write state replaces both the
-//! thread-per-connection stack and the per-response writer lock of the
-//! pipelined pump: partial request lines accumulate in a [`RecvBuffer`]
-//! until their newline arrives, and responses queue in a [`SendBuffer`]
-//! that drains as far as the socket accepts and parks the rest behind
-//! write-readiness. Cheap requests are answered inline on the shard
-//! thread; heavy tagged requests leave through
-//! [`Server::submit_heavy`] and come back as completions through the
-//! shard's inbox plus a [`Poller::wake`] — the shard thread itself
-//! never blocks on anything but the poller.
+//! non-blocking readiness loop over a [`netpoll::Poller`]. No
+//! connection owns a thread or a lock: partial request lines accumulate
+//! in a [`RecvBuffer`] until their newline arrives (the stdin pump,
+//! [`Server::serve`], frames its lines with the same buffer), and
+//! responses queue in a [`SendBuffer`] that drains as far as the socket
+//! accepts and parks the rest behind write-readiness. Cheap requests
+//! are answered inline on the shard thread; heavy tagged requests leave
+//! through [`Server::submit_heavy`] and come back as completions
+//! through the shard's inbox plus a [`Poller::wake`] — the shard thread
+//! itself never blocks on anything but the poller.
 //!
 //! Ordering: untagged requests (and framing errors) are answered in
 //! arrival order because they never leave the shard thread; tagged
-//! heavy responses come back out of order, matched by `req`, exactly as
-//! `serve_pipelined` already promises. A fanned-out batch is still one
-//! request and one response — its chunks are reassembled in request
-//! order before the line is delivered.
+//! heavy responses come back out of order, matched by `req`. A
+//! fanned-out batch is still one request and one response — its chunks
+//! are reassembled in request order before the line is delivered.
 
 use crate::lock_recover;
-use crate::protocol::{ErrorKind, RequestError};
 use crate::server::{
     ns_since, Admitted, ConnState, OpenConnGuard, Reply, ReqCtx, ResponseSink, Server,
 };
@@ -38,10 +35,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A request line longer than this without a newline closes the
-/// connection: nothing in the protocol is remotely this large, so the
-/// peer is broken or hostile, and the alternative is unbounded
-/// buffering.
-const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
+/// connection (or ends the stdin stream): nothing in the protocol is
+/// remotely this large, so the peer is broken or hostile, and the
+/// alternative is unbounded buffering.
+pub(crate) const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Stack scratch for draining a readable socket.
 const READ_CHUNK: usize = 16 * 1024;
@@ -58,8 +55,7 @@ impl ShardSet {
     ///
     /// # Errors
     ///
-    /// Fails when the platform has no readiness backend (the caller
-    /// falls back to thread-per-connection) or a thread cannot spawn.
+    /// Fails when a poller cannot be created or a thread cannot spawn.
     pub(crate) fn spawn(server: &Arc<Server>, count: usize) -> io::Result<ShardSet> {
         let count = count.max(1);
         let mut shards = Vec::with_capacity(count);
@@ -175,18 +171,8 @@ impl Conn {
                     while let Some(line) = self.recv.next_line() {
                         self.process_line(server, shard, token, &line);
                     }
-                    if self.recv.len() > MAX_LINE_BYTES {
-                        // This refusal never reaches admit() — the
-                        // buffered bytes are dropped unparsed — so the
-                        // server counts it and records its parse span
-                        // explicitly, keeping refused traffic visible
-                        // in `stats`/`metrics` like every other error.
-                        self.out
-                            .push_line(&server.refuse_preadmission(&RequestError::new(
-                                ErrorKind::Protocol,
-                                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                            )));
-                        self.recv.clear();
+                    if self.recv.overflowed() {
+                        self.out.push_line(&server.refuse_oversized_line());
                         self.eof = true;
                     }
                 }
@@ -200,7 +186,7 @@ impl Conn {
         }
         if self.eof {
             // A final line without a trailing newline still gets its
-            // answer, matching the BufRead::lines-based pumps.
+            // answer, exactly as on the stdin pump.
             if let Some(line) = self.recv.take_trailing() {
                 self.process_line(server, shard, token, &line);
             }
@@ -212,7 +198,7 @@ impl Conn {
     /// must stay in arrival order), through the worker pool for heavy
     /// tagged work.
     fn process_line(&mut self, server: &Arc<Server>, shard: &Arc<Shard>, token: usize, line: &str) {
-        match server.admit(&self.state, line) {
+        match server.admit(&mut self.state, line) {
             Admitted::Blank => {}
             Admitted::Reply(response) => self.out.push_line(&response),
             Admitted::Run {
@@ -369,12 +355,12 @@ fn remove_conn(poller: &Poller, conns: &mut HashMap<usize, Conn>, token: usize) 
     }
 }
 
-/// Accumulates request bytes until a full `\n`-terminated line exists.
-/// The split points TCP chooses are invisible to the protocol layer: a
-/// line may arrive in one segment with ten siblings or one byte at a
-/// time.
+/// Accumulates request bytes until a full `\n`-terminated line exists —
+/// the one line framing both pumps share. The split points TCP (or a
+/// pipe) chooses are invisible to the protocol layer: a line may arrive
+/// in one segment with ten siblings or one byte at a time.
 #[derive(Default)]
-struct RecvBuffer {
+pub(crate) struct RecvBuffer {
     buf: Vec<u8>,
     /// How far the newline scan has already looked, so a long line
     /// arriving in many segments is not rescanned from the start.
@@ -382,13 +368,8 @@ struct RecvBuffer {
 }
 
 impl RecvBuffer {
-    fn extend(&mut self, bytes: &[u8]) {
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered and not yet consumed as lines.
-    fn len(&self) -> usize {
-        self.buf.len()
     }
 
     fn clear(&mut self) {
@@ -396,9 +377,21 @@ impl RecvBuffer {
         self.scanned = 0;
     }
 
+    /// Whether the unterminated tail outgrew [`MAX_LINE_BYTES`]; if so
+    /// the bytes are dropped unparsed and the caller answers with
+    /// [`Server::refuse_oversized_line`] and stops reading. Call it
+    /// after taking every complete line.
+    pub(crate) fn overflowed(&mut self) -> bool {
+        let over = self.buf.len() > MAX_LINE_BYTES;
+        if over {
+            self.clear();
+        }
+        over
+    }
+
     /// Takes the next complete line off the front (newline consumed, a
     /// trailing `\r` stripped), or `None` until one exists.
-    fn next_line(&mut self) -> Option<String> {
+    pub(crate) fn next_line(&mut self) -> Option<String> {
         match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
             Some(rel) => {
                 let pos = self.scanned + rel;
@@ -410,9 +403,7 @@ impl RecvBuffer {
                 }
                 self.scanned = 0;
                 // Invalid UTF-8 flows through to the parser, which
-                // answers it with a typed error — same outcome as the
-                // BufRead pumps killing the connection, but cheaper for
-                // the client to diagnose.
+                // answers it with a typed error; the stream lives on.
                 Some(String::from_utf8_lossy(&line).into_owned())
             }
             None => {
@@ -423,7 +414,7 @@ impl RecvBuffer {
     }
 
     /// At EOF: the final unterminated line, if any.
-    fn take_trailing(&mut self) -> Option<String> {
+    pub(crate) fn take_trailing(&mut self) -> Option<String> {
         if self.buf.is_empty() {
             return None;
         }
@@ -507,7 +498,11 @@ mod tests {
         recv.extend(b"\n{\"kind\":");
         assert_eq!(recv.next_line().as_deref(), Some("{\"kind\":\"stats\"}"));
         assert_eq!(recv.next_line(), None);
-        assert_eq!(recv.len(), b"{\"kind\":".len(), "the tail stays buffered");
+        assert_eq!(
+            recv.buf.len(),
+            b"{\"kind\":".len(),
+            "the tail stays buffered"
+        );
     }
 
     #[test]
@@ -531,6 +526,20 @@ mod tests {
         }
         recv.extend(b"\n");
         assert_eq!(recv.next_line().as_deref(), Some("{\"kind\":\"stats\"}"));
+    }
+
+    #[test]
+    fn recv_buffer_drops_a_tail_past_the_line_cap() {
+        let mut recv = RecvBuffer::default();
+        recv.extend(b"ok\n");
+        recv.extend(&vec![b'x'; MAX_LINE_BYTES]);
+        assert_eq!(recv.next_line().as_deref(), Some("ok"));
+        assert_eq!(recv.next_line(), None);
+        assert!(!recv.overflowed(), "exactly at the cap is still legal");
+        recv.extend(b"x");
+        assert!(recv.overflowed());
+        assert!(recv.buf.is_empty(), "the oversized tail is dropped");
+        assert_eq!(recv.take_trailing(), None);
     }
 
     /// A writer that accepts a budget of bytes, then reports WouldBlock

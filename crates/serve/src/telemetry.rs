@@ -16,12 +16,13 @@
 //!   max — safe from any number of threads, wait-free, and never
 //!   allocating. A [`HistogramSnapshot`] is mergeable, so per-lane
 //!   histograms roll up into whole-server percentiles.
-//! * **Lanes** separate *who recorded*: lane 0 is the inline lane
-//!   (stdin pump, pipelined connection threads, the thread-per-connection
-//!   fallback), lanes `1..=shards` belong to the TCP shard event loops,
-//!   and the lanes after that to the worker-pool threads. A thread binds
-//!   its lane once ([`Telemetry::bind_lane`]) and every later record on
-//!   that thread lands there — no lookup, no contention between lanes.
+//! * **Lanes** separate *who recorded*: lane 0 is the inline lane (the
+//!   stdin pump and any other unbound caller, such as
+//!   `Server::handle_line`), lanes `1..=shards` belong to the TCP shard
+//!   event loops, and the lanes after that to the worker-pool threads.
+//!   A thread binds its lane once ([`Telemetry::bind_lane`]) and every
+//!   later record on that thread lands there — no lookup, no contention
+//!   between lanes.
 //! * **Stages** ([`Stage`]) split one request's wall time along the
 //!   serving path: `recv → parse → dispatch → index/cache/pool →
 //!   render → write`. `recv`/`write` are per-socket-drain spans measured

@@ -1,6 +1,7 @@
 //! Process-level tests of the real `mps-serve` binary: the oversized
-//! request-line defense over actual TCP, and the `convert` subcommand
-//! round-tripping artifacts between `mps-v1` JSON and `mps-v2` binary.
+//! request-line defense over actual TCP, an invalid byte on stdin, and
+//! the `convert` subcommand round-tripping artifacts between `mps-v1`
+//! JSON and `mps-v2` binary.
 #![cfg(feature = "serde")]
 
 use mps_core::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
@@ -49,6 +50,37 @@ fn spawn_server(dir: &std::path::Path) -> (Child, String) {
         .unwrap_or_else(|| panic!("no addr in announce line: {announce}"))
         .to_owned();
     (child, addr)
+}
+
+/// A line that is not valid UTF-8 on stdin costs one typed error line:
+/// the request after it is still answered and the process exits 0 at
+/// EOF.
+#[test]
+fn stdin_answers_past_an_invalid_utf8_line() {
+    let dir = scratch_dir("stdin-utf8");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mps-serve"))
+        .arg(&dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("the mps-serve binary spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin is piped")
+        .write_all(b"{\"kind\":\"list_structures\"}\n\xff\n{\"kind\":\"list_structures\"}\n")
+        .unwrap();
+    let output = child.wait_with_output().unwrap();
+    assert!(output.status.success(), "exit status {}", output.status);
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "one response per request line: {stdout}");
+    assert!(lines[0].starts_with("{\"ok\":true"), "{}", lines[0]);
+    assert!(lines[1].starts_with("{\"ok\":false"), "{}", lines[1]);
+    assert!(lines[2].starts_with("{\"ok\":true"), "{}", lines[2]);
+    assert!(lines[2].contains("\"list_structures\""), "{}", lines[2]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Regression for the oversized-line path (`MAX_LINE_BYTES` in

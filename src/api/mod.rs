@@ -10,19 +10,6 @@
 //! [`Dims`], and the [`Workspace`] owns the whole artifact lifecycle
 //! that bench binaries and applications previously re-stitched by hand.
 //!
-//! # Migration from the raw APIs
-//!
-//! | Old (PR ≤ 3)                                        | New                                            |
-//! |-----------------------------------------------------|------------------------------------------------|
-//! | `mps.query(&[(w, h), ...])`                         | `mps.query(&dims![(w, h), ...])`               |
-//! | `mps.query(&raw_slice)` (kept one release)          | `mps.query_pairs(&raw_slice)` *(deprecated)*   |
-//! | `mps.query_with_scratch(&raw, &mut s)`              | `mps.query_with_scratch_pairs(...)` *(deprecated)* |
-//! | `check_invariants() -> Result<(), String>`          | `-> Result<(), InvariantError>`                |
-//! | `MpsGenerator` + `save_json` + `load_json` by hand  | [`Workspace::generate_or_load`]                |
-//! | `CompiledQueryIndex::build` + `verify_against`      | automatic behind every [`Workspace`] handle    |
-//! | `StructureRegistry::open(dir)`                      | [`Workspace::serve_registry`]                  |
-//! | `GenerateError` / `PersistError` / `ServeError` / `String` | one [`MpsError`] with `From` impls       |
-//!
 //! [`Dims`]: mps_geom::Dims
 
 mod error;

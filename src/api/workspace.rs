@@ -386,9 +386,10 @@ impl Workspace {
     /// layer (`telemetry`, default on: per-stage latency histograms,
     /// query-dimension heatmaps and the slow-request ring behind the
     /// `metrics`/`trace` protocol requests). The returned server
-    /// speaks the full `mps-serve` protocol (pipelined tagged requests,
-    /// `reload` hot-swaps with all-or-nothing cache invalidation) over
-    /// any `BufRead`/`Write` pair or a TCP listener.
+    /// speaks the full `mps-serve` protocol (`reload` hot-swaps with
+    /// all-or-nothing cache invalidation) over any `BufRead`/`Write`
+    /// pair, in request order, or a TCP listener, with pipelined tagged
+    /// requests.
     ///
     /// ```no_run
     /// # fn main() -> Result<(), analog_mps::api::MpsError> {
@@ -401,7 +402,7 @@ impl Workspace {
     ///     ..ServerConfig::default()
     /// })?);
     /// let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    /// server.serve_tcp(listener); // accepts connections forever
+    /// server.serve_tcp(listener).unwrap(); // accepts connections forever
     /// # Ok(())
     /// # }
     /// ```

@@ -67,12 +67,6 @@
 //! [`dims!`] macro, or circuit helpers (`circuit.min_dims()`,
 //! `circuit.clamp_dims(..)`); they deref to `[(Coord, Coord)]`, so
 //! packing, legality and cost APIs keep working on them unchanged.
-//!
-//! # Migrating from the raw (PR ≤ 3) APIs
-//!
-//! See the [`api`] module docs for the old → new migration table. The
-//! raw-slice entry points survive one release as `#[deprecated]`
-//! `*_pairs` shims with bit-identical answers.
 
 #![forbid(unsafe_code)]
 

@@ -1,19 +1,15 @@
-//! The redesign's acceptance battery: the facade path — `Workspace`
+//! The facade's acceptance battery: the facade path — `Workspace`
 //! handles answering typed `Dims` queries through the compiled plan —
-//! must be **bit-identical** to the pre-redesign raw path (the
-//! deprecated `*_pairs` shims over bare `&[(Coord, Coord)]` slices), on
-//! the committed golden fixture and on ≥ 1,000 random probes per
-//! circuit.
+//! must be **bit-identical** to the typed interpretive path on the
+//! structure itself, on the committed golden fixture and on ≥ 1,000
+//! random probes per circuit.
 //!
-//! Three paths are diffed on every probe:
+//! Two paths are diffed on every probe:
 //!
-//! 1. `mps.query_pairs(&raw)` — the old raw-tuple entry point (kept as a
-//!    deprecated shim for one release);
-//! 2. `mps.query(&Dims)` — the typed interpretive path;
-//! 3. `ws.query(name, &Dims)` — the full facade (compiled index behind a
+//! 1. `mps.query(&Dims)` — the typed interpretive path;
+//! 2. `ws.query(name, &Dims)` — the full facade (compiled index behind a
 //!    `Workspace` handle).
 #![cfg(feature = "serde")]
-#![allow(deprecated)] // the point of this battery is diffing against the old path
 
 use analog_mps::api::Workspace;
 use analog_mps::mps::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
@@ -57,8 +53,8 @@ fn probe_stream(mps: &MultiPlacementStructure, n: usize, seed: u64) -> Vec<Vec<(
         .collect()
 }
 
-/// Diffs the three paths on `n` probes; panics on the first divergence.
-fn assert_facade_matches_raw(name: &str, mps: &MultiPlacementStructure, n: usize, seed: u64) {
+/// Diffs the two paths on `n` probes; panics on the first divergence.
+fn assert_facade_matches_typed(name: &str, mps: &MultiPlacementStructure, n: usize, seed: u64) {
     let dir = temp_dir(name);
     std::fs::write(dir.join(format!("{name}.mps.json")), mps.to_json()).unwrap();
     let mut ws = Workspace::open(&dir).unwrap();
@@ -66,31 +62,20 @@ fn assert_facade_matches_raw(name: &str, mps: &MultiPlacementStructure, n: usize
 
     let mut covered = 0usize;
     for (k, raw) in probe_stream(mps, n, seed).into_iter().enumerate() {
-        let old = mps.query_pairs(&raw);
-        let typed = Dims::from_vec_unchecked(raw.clone());
+        let typed = Dims::from_vec_unchecked(raw);
+        let expected = mps.query(&typed);
         assert_eq!(
-            old,
-            mps.query(&typed),
-            "probe {k} ({raw:?}): typed path diverges from the raw path"
-        );
-        assert_eq!(
-            old,
+            expected,
             ws.query(name, &typed).unwrap(),
-            "probe {k} ({raw:?}): facade path diverges from the raw path"
+            "probe {k} ({typed:?}): facade path diverges from the typed path"
         );
-        covered += usize::from(old.is_some());
+        covered += usize::from(expected.is_some());
 
         // In-bounds probes also instantiate identically (facade
         // instantiation rejects out-of-bounds with a typed error).
         if typed.within_bounds(mps.bounds()) {
-            let old_p = mps.instantiate_or_fallback_pairs(&raw);
             assert_eq!(
-                old_p,
                 mps.instantiate_or_fallback(&typed),
-                "probe {k}: typed instantiation diverges"
-            );
-            assert_eq!(
-                old_p,
                 ws.instantiate(name, &typed).unwrap(),
                 "probe {k}: facade instantiation diverges"
             );
@@ -104,11 +89,11 @@ fn assert_facade_matches_raw(name: &str, mps: &MultiPlacementStructure, n: usize
 }
 
 /// The committed golden fixture, diffed on ≥ 1,000 probes: the facade
-/// must answer the pinned on-disk format exactly like the raw path.
+/// must answer the pinned on-disk format exactly like the typed path.
 #[test]
 fn facade_matches_raw_on_the_golden_fixture() {
     let mps = MultiPlacementStructure::from_json(FIXTURE).expect("fixture loads");
-    assert_facade_matches_raw("circ02", &mps, 1_500, 0xFACADE);
+    assert_facade_matches_typed("circ02", &mps, 1_500, 0xFACADE);
 }
 
 /// Freshly generated structures, ≥ 1,000 probes each.
@@ -123,41 +108,6 @@ fn facade_matches_raw_on_generated_structures() {
             .build();
         let mps = MpsGenerator::new(&bm.circuit, config).generate().unwrap();
         let ws_name = name.replace(' ', "_");
-        assert_facade_matches_raw(&ws_name, &mps, 1_200, seed ^ 0xD1FF);
-    }
-}
-
-/// The scratch/batch shims agree with their typed replacements too.
-#[test]
-fn deprecated_scratch_and_batch_shims_agree() {
-    let bm = benchmarks::by_name("circ02").unwrap();
-    let config = GeneratorConfig::builder()
-        .outer_iterations(60)
-        .inner_iterations(40)
-        .seed(5)
-        .build();
-    let mps = MpsGenerator::new(&bm.circuit, config).generate().unwrap();
-    let raw_stream = probe_stream(&mps, 500, 0xBA7C4);
-    let typed_stream: Vec<Dims> = raw_stream
-        .iter()
-        .map(|raw| Dims::from_vec_unchecked(raw.clone()))
-        .collect();
-
-    assert_eq!(
-        mps.query_batch_pairs(&raw_stream),
-        mps.query_batch(&typed_stream)
-    );
-    let mut s1 = Vec::new();
-    let mut s2 = Vec::new();
-    for (raw, typed) in raw_stream.iter().zip(&typed_stream) {
-        assert_eq!(
-            mps.query_with_scratch_pairs(raw, &mut s1),
-            mps.query_with_scratch(typed, &mut s2)
-        );
-        assert_eq!(mps.instantiate_pairs(raw), mps.instantiate(typed));
-        assert_eq!(
-            mps.instantiate_compacted_pairs(raw),
-            mps.instantiate_compacted(typed)
-        );
+        assert_facade_matches_typed(&ws_name, &mps, 1_200, seed ^ 0xD1FF);
     }
 }
