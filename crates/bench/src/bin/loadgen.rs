@@ -32,17 +32,19 @@
 //!   connection hot-reloads the registry every few milliseconds
 //!   (adversarial: every reload invalidates the cache all-or-nothing);
 //! * `batch_hotspot` — 64-vector batch requests over the hot sets,
-//!   exercising the per-element batch cache path (recorded, not gated:
-//!   batch lines are JSON-bound on the wire);
+//!   answered in place on the shard threads; batches bypass the answer
+//!   cache on purpose, so the hot sets buy nothing here (recorded, not
+//!   gated: batch lines are JSON-bound on the wire);
 //! * `conn_scaling` at every `--scale-clients` level (default
 //!   64/256/1024) — the connection-count ceiling probe: far more open
 //!   connections than cores, few requests each, the regime where a
 //!   thread-per-connection server drowns in context switches and the
 //!   shard event loops must not;
 //! * `batch_fanout` — `--fanout-batch`-vector batches (default 512,
-//!   above the server's parallel-fanout threshold) against the default
-//!   server and against `--workers 1`: the speedup is what splitting one
-//!   big batch across the whole worker pool buys;
+//!   above the server's 256-vector heavy-batch threshold) from 2
+//!   clients against the default server and against `--workers 1`:
+//!   each batch takes one worker slot, so the speedup is how many of
+//!   the clients' batches the full pool runs side by side;
 //! * `telemetry_on` / `telemetry_off` — a diverse uniform stream
 //!   against two cache-disabled servers (`--cache-entries 0`, so every
 //!   request takes the full parse → dispatch → index → render pipeline
@@ -79,11 +81,11 @@
 //! fails the run when the highest-concurrency uniform scenario is slower.
 //! `--min-scaling X` fails the run unless uniform QPS at `<cores>`
 //! clients is at least `X` times the 1-client figure, and
-//! `--require-fanout-speedup X` does the same for the multi-worker vs
-//! single-worker fanout comparison; both gates skip with a warning on
-//! single-core machines, where there is nothing to scale onto. The
-//! scaling curve is additionally written to `out/BENCH_scaling.json`
-//! for CI artifact upload.
+//! `--require-fanout-speedup X` does the same for the full-pool vs
+//! single-worker `batch_fanout` comparison; both gates skip with a
+//! warning on single-core machines, where there is nothing to scale
+//! onto. The scaling curve is additionally written to
+//! `out/BENCH_scaling.json` for CI artifact upload.
 
 use mps_bench::cli::arg_value;
 use mps_bench::{markdown_table, random_dims, write_artifact};
@@ -689,9 +691,9 @@ fn main() {
             })
             .collect(),
     );
-    // Fanout-sized batches: big enough to cross the server's parallel
-    // split threshold, so one request occupies the whole worker pool
-    // instead of a single slot.
+    // Over-threshold batches: big enough to cross the server's
+    // heavy-batch threshold, so each request takes one worker slot
+    // instead of running on the shard thread.
     let fanout_pool: Arc<Vec<PoolEntry>> = Arc::new(
         (0..64)
             .map(|k| {
@@ -854,9 +856,9 @@ fn main() {
     record("churn", max_clients, &o);
     drop(server);
 
-    // Batched hot-spot traffic: exercises the per-element batch cache
-    // path under concurrency (throughput here is JSON-bound — 64
-    // vectors per line — so it is recorded, not gated).
+    // Batched hot-spot traffic: 64-vector batches answered in place on
+    // the shard threads, past the answer cache (throughput here is
+    // JSON-bound — 64 vectors per line — so it is recorded, not gated).
     let batch_requests = requests.div_ceil(4).max(50);
     let server = spawn_server(&server_bin, &dir, &[]);
     eprintln!("loadgen: batch_hotspot x{max_clients}");
@@ -873,11 +875,10 @@ fn main() {
     record("batch_hotspot", max_clients, &o);
     drop(server);
 
-    // Fanout comparison: the same stream of over-threshold batches
-    // against the default server (batch split across the pool) and
-    // against `--workers 1` (the old one-batch-one-slot ceiling). Few
-    // clients on purpose — the question is what ONE big batch gains,
-    // not how many fit.
+    // Pool comparison: the same stream of over-threshold batches from
+    // 2 clients against the default server and against `--workers 1`.
+    // Each batch takes one worker slot on either server, so the ratio
+    // is how many batches the full pool answers side by side.
     let fanout_clients = 2.min(max_clients.max(1));
     let fanout_requests = requests.div_ceil(16).max(10);
     let server = spawn_server(&server_bin, &dir, &[]);

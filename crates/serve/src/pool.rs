@@ -1,7 +1,7 @@
 //! A small fixed-size worker pool for request-side parallelism.
 //!
 //! Heavy tagged TCP requests (uncached instantiates, triggered
-//! refinement, the chunks of a large batch) run on these workers; the
+//! refinement, large batches) each run in one slot of these workers; the
 //! pool is deliberately boring: long-lived named threads, one shared
 //! job channel, panic isolation per job (a panicking job costs its one
 //! response, never a worker), and a draining `Drop`.

@@ -14,8 +14,8 @@
 //! and a panicking handler is caught and answered as an `internal`
 //! error. A panic can also never poison the server: every shared lock
 //! recovers via [`lock_recover`] (the guarded data — counters, rendered
-//! lines, batch chunk slots — is valid at any interleaving), so one
-//! crashing request cannot take down the other connections.
+//! lines — is valid at any interleaving), so one crashing request cannot
+//! take down the other connections.
 
 use crate::cache::{AnswerCache, CacheClass, CacheLookup};
 use crate::lock_recover;
@@ -33,18 +33,15 @@ use serde::{Map, Serialize, Value};
 use std::io::{self, BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Tagged TCP batches at or above this many vectors fan out over the
-/// worker pool; every other batch is answered in place with one
-/// `query_batch`.
-const PARALLEL_BATCH_THRESHOLD: usize = 256;
-
-/// Floor on the per-chunk size of a fanned-out batch: chunks smaller
-/// than this cost more in handoff than the queries they carry.
-const MIN_FANOUT_CHUNK: usize = 64;
+/// A tagged TCP batch of at least this many vectors takes one
+/// worker-pool slot instead of the shard thread, so it cannot
+/// head-of-line-block the requests behind it; every other batch is
+/// answered in place. Either way the batch is one `query_batch`.
+const HEAVY_BATCH_VECTORS: usize = 256;
 
 /// How many worst-request records the telemetry slow ring keeps between
 /// two `trace` drains.
@@ -714,7 +711,7 @@ impl Server {
             Request::Instantiate { structure, dims } => {
                 !self.cache.peek(CacheClass::Instantiate, structure, dims)
             }
-            Request::BatchQuery { dims_list, .. } => dims_list.len() >= PARALLEL_BATCH_THRESHOLD,
+            Request::BatchQuery { dims_list, .. } => dims_list.len() >= HEAVY_BATCH_VECTORS,
             // A triggered refinement pass re-anneals a structure —
             // milliseconds to seconds of CPU; it must never block the
             // pipelined stream behind it.
@@ -723,12 +720,11 @@ impl Server {
         }
     }
 
-    /// Routes one heavy tagged request off the calling thread,
-    /// guaranteeing `sink` receives the rendered response line exactly
-    /// once — even when a worker panics. A large batch no longer
-    /// occupies a single pool slot: it fans out in chunks across the
-    /// whole pool and the last chunk to finish assembles the ids back
-    /// into request order. Everything else takes one slot.
+    /// Runs one heavy tagged request in one worker-pool slot through
+    /// [`Server::complete`], exactly like an inline request but off the
+    /// calling thread, guaranteeing `sink` receives the rendered reply
+    /// exactly once — even when the job panics. Every heavy kind, large
+    /// batches included, takes this one path.
     pub(crate) fn submit_heavy(
         self: &Arc<Self>,
         id: u64,
@@ -736,145 +732,44 @@ impl Server {
         parse_ns: u64,
         sink: ResponseSink,
     ) {
-        match request {
-            Request::BatchQuery {
-                structure,
-                dims_list,
-                binary,
-            } if dims_list.len() >= PARALLEL_BATCH_THRESHOLD && self.pool.workers() > 1 => {
-                self.fan_out_batch(id, structure, dims_list, binary, sink);
+        let server = Arc::clone(self);
+        let submitted = self.telemetry.enabled().then(Instant::now);
+        self.pool.execute(move || {
+            // The queue wait (submit → job start) is the pool stage of
+            // this request's trace.
+            let pool_ns = submitted.map_or(0, ns_since);
+            // Deliver from Drop so a panic anywhere in the render still
+            // produces a response (complete() already catches handler
+            // panics; this covers the rest of the job body).
+            struct DeliverOnDrop {
+                sink: ResponseSink,
+                id: u64,
+                reply: Option<Reply>,
             }
-            request => {
-                let server = Arc::clone(self);
-                let submitted = self.telemetry.enabled().then(Instant::now);
-                self.pool.execute(move || {
-                    // The queue wait (submit → job start) is the pool
-                    // stage of this request's trace.
-                    let pool_ns = submitted.map_or(0, ns_since);
-                    // Deliver from Drop so a panic anywhere in the
-                    // render still produces a response (complete()
-                    // already catches handler panics; this covers the
-                    // rest of the job body).
-                    struct DeliverOnDrop {
-                        sink: ResponseSink,
-                        id: u64,
-                        reply: Option<Reply>,
-                    }
-                    impl Drop for DeliverOnDrop {
-                        fn drop(&mut self) {
-                            let reply = self.reply.take().unwrap_or_else(|| {
-                                Reply::Line(tagged_error_response(
-                                    Some(self.id),
-                                    &RequestError::new(
-                                        ErrorKind::Internal,
-                                        "request handler panicked; the server keeps serving",
-                                    ),
-                                ))
-                            });
-                            // A second panic while already unwinding
-                            // would abort the process; the sinks only
-                            // move bytes behind recovered locks, but
-                            // stay paranoid.
-                            let _ = catch_unwind(AssertUnwindSafe(|| (self.sink)(reply)));
-                        }
-                    }
-                    let mut delivery = DeliverOnDrop {
-                        sink,
-                        id,
-                        reply: None,
-                    };
-                    delivery.reply =
-                        Some(server.complete(Some(id), request, ReqCtx { parse_ns, pool_ns }));
-                });
+            impl Drop for DeliverOnDrop {
+                fn drop(&mut self) {
+                    let reply = self.reply.take().unwrap_or_else(|| {
+                        Reply::Line(tagged_error_response(
+                            Some(self.id),
+                            &RequestError::new(
+                                ErrorKind::Internal,
+                                "request handler panicked; the server keeps serving",
+                            ),
+                        ))
+                    });
+                    // A second panic while already unwinding would
+                    // abort the process; the sinks only move bytes
+                    // behind recovered locks, but stay paranoid.
+                    let _ = catch_unwind(AssertUnwindSafe(|| (self.sink)(reply)));
+                }
             }
-        }
-    }
-
-    /// Splits one oversized batch into chunks fanned across the whole
-    /// worker pool. Validation runs here on the submitting thread (an
-    /// error costs zero pool slots and renders identically to the
-    /// sequential path); nothing ever blocks waiting for a chunk — the
-    /// last finisher assembles and delivers, so a fully loaded pool
-    /// drains batches without any coordinator parking on a slot.
-    fn fan_out_batch(
-        self: &Arc<Self>,
-        id: u64,
-        structure: String,
-        dims_list: Vec<Dims>,
-        binary: bool,
-        sink: ResponseSink,
-    ) {
-        let validated = self.lookup(&structure).and_then(|served| {
-            for dims in &dims_list {
-                self.check_arity(&served, dims)?;
-            }
-            Ok(served)
+            let mut delivery = DeliverOnDrop {
+                sink,
+                id,
+                reply: None,
+            };
+            delivery.reply = Some(server.complete(Some(id), request, ReqCtx { parse_ns, pool_ns }));
         });
-        let served = match validated {
-            Ok(served) => served,
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                // Errors are JSON lines even for binary-opted requests.
-                sink(Reply::Line(tagged_error_response(Some(id), &e)));
-                return;
-            }
-        };
-        self.queries
-            .fetch_add(dims_list.len() as u64, Ordering::Relaxed);
-        self.count_structure(&structure, dims_list.len() as u64);
-        // Heat is recorded here on the submitting thread: the dimension
-        // distribution is per request, not per worker chunk. Fanned
-        // batches bypass complete(), so their dispatch span is *not* in
-        // the stage histograms — the per-chunk index/pool spans below
-        // and the assemble-side render span are (see PROTOCOL.md).
-        if let Some(heat) = self.telemetry.heat_for(&structure, || heat_bounds(&served)) {
-            for dims in &dims_list {
-                heat.record(dims);
-            }
-        }
-        let chunk_len = dims_list
-            .len()
-            .div_ceil(self.pool.workers() * 2)
-            .max(MIN_FANOUT_CHUNK);
-        let chunks: Vec<Vec<Dims>> = dims_list.chunks(chunk_len).map(<[Dims]>::to_vec).collect();
-        let fanout = Arc::new(Fanout {
-            server: Arc::clone(self),
-            id,
-            structure,
-            binary,
-            slots: Mutex::new(vec![None; chunks.len()]),
-            remaining: AtomicUsize::new(chunks.len()),
-            sink,
-        });
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let fanout = Arc::clone(&fanout);
-            let served = Arc::clone(&served);
-            let submitted = self.telemetry.enabled().then(Instant::now);
-            self.pool.execute(move || {
-                // Drop-driven countdown: a panicking chunk still counts
-                // down, and the response is still delivered (as an
-                // internal error, from whichever chunk finishes last).
-                struct FinishGuard(Arc<Fanout>);
-                impl Drop for FinishGuard {
-                    fn drop(&mut self) {
-                        self.0.finish_one();
-                    }
-                }
-                let _guard = FinishGuard(Arc::clone(&fanout));
-                // Per-chunk spans land on this worker's lane: the queue
-                // wait as the pool stage, the chunk query as index.
-                let telemetry = fanout.server.telemetry();
-                if let Some(t) = submitted {
-                    telemetry.record(Stage::Pool, ns_since(t));
-                }
-                let query_started = submitted.map(|_| Instant::now());
-                let answered = served.index().query_batch(&chunk);
-                if let Some(t) = query_started {
-                    telemetry.record(Stage::Index, ns_since(t));
-                }
-                lock_recover(&fanout.slots)[i] = Some(answered);
-            });
-        }
     }
 
     fn dispatch(&self, request: Request, trace: &mut StageTrace) -> Result<Outcome, RequestError> {
@@ -1256,7 +1151,7 @@ impl Server {
         );
         map.insert(
             "active",
-            match crate::lock_recover(&s.active).as_deref() {
+            match lock_recover(&s.active).as_deref() {
                 Some(name) => Value::String(name.to_owned()),
                 None => Value::Null,
             },
@@ -1526,73 +1421,6 @@ fn heat_bounds(served: &ServedStructure) -> Vec<(i64, i64, i64, i64)> {
         .iter()
         .map(|b| (b.w.lo(), b.w.hi(), b.h.lo(), b.h.hi()))
         .collect()
-}
-
-/// State shared by the chunks of one fanned-out batch: each worker
-/// fills its slot, and the last chunk to finish — success or panic —
-/// assembles the ids back into request order, renders the one response
-/// line, and delivers it through the sink.
-struct Fanout {
-    server: Arc<Server>,
-    id: u64,
-    structure: String,
-    /// Deliver the answer as a binary frame (`"encoding":"bin"`).
-    binary: bool,
-    slots: Mutex<Vec<Option<Vec<Option<PlacementId>>>>>,
-    remaining: AtomicUsize,
-    sink: ResponseSink,
-}
-
-impl Fanout {
-    /// Counts one chunk done; the last one assembles and delivers.
-    fn finish_one(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return;
-        }
-        // The assemble-side render span lands on whichever worker lane
-        // finishes last — the only thread that does this work.
-        let t = self.server.telemetry().enabled().then(Instant::now);
-        let reply = catch_unwind(AssertUnwindSafe(|| self.assemble()))
-            .unwrap_or_else(|_| self.internal_error());
-        if let Some(t) = t {
-            self.server.telemetry().record(Stage::Render, ns_since(t));
-        }
-        // This can run inside another panic's unwind (the FinishGuard),
-        // where a second panic would abort the process — so the sink
-        // call is shielded even though the sinks only move bytes.
-        let _ = catch_unwind(AssertUnwindSafe(|| (self.sink)(reply)));
-    }
-
-    fn assemble(&self) -> Reply {
-        let slots = std::mem::take(&mut *lock_recover(&self.slots));
-        if slots.iter().any(Option::is_none) {
-            return self.internal_error();
-        }
-        let ids: Vec<Option<PlacementId>> = slots
-            .into_iter()
-            .flatten() // unwrap each filled slot
-            .flatten() // splice the chunks back into one id stream
-            .collect();
-        if self.binary {
-            return Reply::Frame(crate::frame::encode_batch_ids(Some(self.id), &ids));
-        }
-        let mut map = ok_header("batch_query");
-        map.insert("structure", Value::String(self.structure.clone()));
-        map.insert("ids", Value::Array(ids.into_iter().map(id_value).collect()));
-        map.insert("req", self.id.to_value());
-        Reply::Line(crate::protocol::render(map))
-    }
-
-    fn internal_error(&self) -> Reply {
-        self.server.errors.fetch_add(1, Ordering::Relaxed);
-        Reply::Line(tagged_error_response(
-            Some(self.id),
-            &RequestError::new(
-                ErrorKind::Internal,
-                "batch worker panicked; the server keeps serving",
-            ),
-        ))
-    }
 }
 
 /// One compiled lookup decides both the id and the placement; only
@@ -2035,7 +1863,7 @@ mod tests {
     }
 
     #[test]
-    fn large_batch_fans_out_and_matches_sequential() {
+    fn large_untagged_batch_answers_in_place_and_matches_sequential() {
         let server = test_server();
         let served = server.registry().get("circ01").unwrap();
         let bounds = served.structure().bounds().to_vec();
@@ -2050,7 +1878,7 @@ mod tests {
                 })
                 .collect()
         };
-        let dims_list: Vec<Dims> = (0..PARALLEL_BATCH_THRESHOLD + 100).map(vector).collect();
+        let dims_list: Vec<Dims> = (0..HEAVY_BATCH_VECTORS + 100).map(vector).collect();
         let rendered: Vec<String> = dims_list
             .iter()
             .map(|dims| {
@@ -2260,7 +2088,7 @@ mod tests {
     }
 
     /// End-to-end over the sharded event loops: pipelined tagged
-    /// queries, a fanned-out large batch, an untagged request, and a
+    /// queries, a pooled large batch, an untagged request, and a
     /// request line deliberately split across TCP segments — every
     /// answer must match the direct query path.
     #[test]
@@ -2317,9 +2145,9 @@ mod tests {
                 dims_json(&vector(k))
             ));
         }
-        // ...then one batch big enough to fan out over the pool.
+        // ...then one batch big enough to take a worker-pool slot.
         let batch_id = n;
-        let batch: Vec<Dims> = (0..PARALLEL_BATCH_THRESHOLD + 50).map(vector).collect();
+        let batch: Vec<Dims> = (0..HEAVY_BATCH_VECTORS + 50).map(vector).collect();
         let batch_dims: Vec<String> = batch.iter().map(dims_json).collect();
         burst.push_str(&format!(
             "{{\"id\":{batch_id},\"kind\":\"batch_query\",\"structure\":\"circ01\",\
@@ -2371,7 +2199,7 @@ mod tests {
         assert_eq!(
             answered[&batch_id].get("ids"),
             Some(&Value::Array(expected_batch)),
-            "the fanned-out batch must reassemble ids in request order"
+            "the pooled batch must answer ids in request order"
         );
         // An untagged connection still gets in-order inline answers.
         let mut plain = TcpStream::connect(addr).unwrap();
@@ -2438,11 +2266,11 @@ mod tests {
         assert_eq!(value.get("ok").and_then(Value::as_bool), Some(true));
     }
 
-    /// A binary batch big enough to fan out over the worker pool comes
-    /// back as one frame through the shard completion path, with ids in
+    /// A binary batch big enough to take a worker-pool slot comes back
+    /// as one frame through the shard completion path, with ids in
     /// request order — exercised end-to-end over TCP.
     #[test]
-    fn binary_batch_fans_out_and_frames_over_tcp() {
+    fn large_binary_batch_takes_a_pool_slot_and_frames_over_tcp() {
         let server = Arc::new(Server::with_config(
             {
                 let circuit = benchmarks::circ01();
@@ -2475,7 +2303,7 @@ mod tests {
                 })
                 .collect()
         };
-        let batch: Vec<Dims> = (0..PARALLEL_BATCH_THRESHOLD + 30).map(vector).collect();
+        let batch: Vec<Dims> = (0..HEAVY_BATCH_VECTORS + 30).map(vector).collect();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let accept_server = Arc::clone(&server);
@@ -2514,8 +2342,107 @@ mod tests {
         assert_eq!(
             ids,
             served.structure().query_batch(&batch),
-            "the fanned-out frame must carry ids in request order"
+            "the pooled frame must carry ids in request order"
         );
+    }
+
+    /// A large tagged batch runs through `complete` like every other
+    /// request: it is one `dispatch` sample, and its slow-ring record
+    /// carries its tag and the pool queue wait next to the dispatch span.
+    #[test]
+    fn large_tagged_batch_is_dispatched_and_traced_like_any_request() {
+        let server = Arc::new(Server::with_config(
+            test_registry(),
+            ServerConfig {
+                workers: 2,
+                shards: 1,
+                ..ServerConfig::default()
+            },
+        ));
+        let served = server.registry().get("circ01").unwrap();
+        let bounds = served.structure().bounds().to_vec();
+        let vector = |k: usize| -> Dims {
+            bounds
+                .iter()
+                .map(|b| {
+                    (
+                        b.w.lo() + (k as Coord * 3) % (b.w.len() as Coord),
+                        b.h.lo() + (k as Coord * 5) % (b.h.len() as Coord),
+                    )
+                })
+                .collect()
+        };
+        let batch: Vec<Dims> = (0..HEAVY_BATCH_VECTORS + 20).map(vector).collect();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accept_server = Arc::clone(&server);
+        std::thread::spawn(move || accept_server.serve_tcp(listener));
+
+        let mut client = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut line = String::new();
+        let mut exchange = |request: &str| -> Value {
+            client.write_all(request.as_bytes()).unwrap();
+            line.clear();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "early EOF");
+            parse(&line)
+        };
+        let dispatched = |metrics: &Value| -> u64 {
+            metrics
+                .get("stages")
+                .and_then(|s| s.get("dispatch"))
+                .and_then(|d| d.get("count"))
+                .and_then(Value::as_u64)
+                .unwrap_or(0)
+        };
+        // A metrics snapshot excludes the metrics request's own dispatch
+        // (recorded after the snapshot renders), so between two
+        // snapshots the count grows by the first snapshot plus the batch.
+        let before = dispatched(&exchange("{\"id\":1,\"kind\":\"metrics\"}\n"));
+        let batch_id = 2;
+        let dims_json: Vec<String> = batch
+            .iter()
+            .map(|dims| {
+                let pairs: Vec<String> = dims.iter().map(|(w, h)| format!("[{w},{h}]")).collect();
+                format!("[{}]", pairs.join(","))
+            })
+            .collect();
+        let answer = exchange(&format!(
+            "{{\"id\":{batch_id},\"kind\":\"batch_query\",\"structure\":\"circ01\",\
+             \"dims_list\":[{}]}}\n",
+            dims_json.join(",")
+        ));
+        assert_eq!(answer.get("req").and_then(Value::as_u64), Some(batch_id));
+        let expected: Vec<Value> = served
+            .structure()
+            .query_batch(&batch)
+            .into_iter()
+            .map(id_value)
+            .collect();
+        assert_eq!(answer.get("ids"), Some(&Value::Array(expected)));
+        let after = dispatched(&exchange("{\"id\":3,\"kind\":\"metrics\"}\n"));
+        assert_eq!(
+            after,
+            before + 2,
+            "the batch must be one dispatch sample (the other is the first metrics request)"
+        );
+        let trace = exchange("{\"id\":4,\"kind\":\"trace\"}\n");
+        let entries = trace.get("entries").and_then(Value::as_array).unwrap();
+        let entry = entries
+            .iter()
+            .find(|e| e.get("kind").and_then(Value::as_str) == Some("batch_query"))
+            .unwrap_or_else(|| panic!("the batch must reach the slow ring: {entries:?}"));
+        assert_eq!(entry.get("req").and_then(Value::as_u64), Some(batch_id));
+        let stages = entry.get("stages").and_then(Value::as_object).unwrap();
+        for stage in ["pool", "dispatch"] {
+            assert!(
+                stages
+                    .get(stage)
+                    .and_then(Value::as_u64)
+                    .is_some_and(|ns| ns > 0),
+                "the batch trace lacks its `{stage}` span: {entry:?}"
+            );
+        }
     }
 
     #[test]

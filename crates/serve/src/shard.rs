@@ -17,9 +17,9 @@
 //!
 //! Ordering: untagged requests (and framing errors) are answered in
 //! arrival order because they never leave the shard thread; tagged
-//! heavy responses come back out of order, matched by `req`. A
-//! fanned-out batch is still one request and one response — its chunks
-//! are reassembled in request order before the line is delivered.
+//! heavy responses come back out of order, matched by `req`. A large
+//! tagged batch is one heavy request: one worker slot, one response,
+//! `ids` in element order.
 
 use crate::lock_recover;
 use crate::server::{

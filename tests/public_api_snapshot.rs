@@ -1,12 +1,11 @@
-//! Public-API snapshot guard for the deprecation window.
+//! Public-API snapshot guard for the retired `*_pairs` shims.
 //!
-//! The API redesign kept every raw-slice entry point alive as a
-//! `#[deprecated]` `*_pairs` shim so downstream migrations stay
-//! mechanical for one release. This test pins that surface: each shim
-//! must still exist (with its `#[deprecated]` marker), and each typed
-//! replacement must exist next to it. Removing a shim without recording
-//! the break in `CHANGES.md` fails the suite — the note is the
-//! changelog entry downstream users grep for.
+//! The API redesign once kept every raw-slice entry point alive as a
+//! `#[deprecated]` `*_pairs` shim; the shims are gone now. This test
+//! pins what replaced them: each shim's removal must be recorded in
+//! `CHANGES.md` (the note is the changelog entry downstream users grep
+//! for), a shim that reappears must carry its `#[deprecated]` marker,
+//! and each typed replacement must exist.
 
 use std::path::Path;
 
