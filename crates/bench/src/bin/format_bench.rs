@@ -17,7 +17,7 @@
 
 use mps_bench::{markdown_table, write_artifact};
 use mps_core::MultiPlacementStructure;
-use mps_serve::CompiledQueryIndex;
+use mps_serve::{CompiledIndex, IndexPlan};
 use serde::{Map, Serialize, Value};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -115,7 +115,7 @@ fn main() {
             "{}: binary twin must re-serialize identically",
             json_path.display()
         );
-        CompiledQueryIndex::build(&from_bin)
+        CompiledIndex::build(&from_bin, IndexPlan::V1)
             .verify_against(&from_json, probes, 0xF0F0)
             .unwrap_or_else(|e| {
                 fail(&format!(

@@ -16,10 +16,11 @@
 //!   vector per call);
 //! * `scratch`  — `query_with_scratch` (same interval-row walk, reused
 //!   candidate buffer);
-//! * `compiled` — `CompiledQueryIndex::query_with_scratch` (the v1 plan:
-//!   flattened arrays + full-width bitset AND, zero allocation per query);
-//! * `compiled_v2` — the v2 pivot/bucket/center plan with sparse live-word
-//!   intersection (`CompiledQueryIndexV2`).
+//! * `compiled` — `CompiledIndex::query_with_scratch` on the v1 plan
+//!   (one binary search per row + full-width bitset AND, zero allocation
+//!   per query);
+//! * `compiled_v2` — the same index on the v2 plan (per-row pivot tree
+//!   with center entries + sparse live-word intersection).
 //!
 //! With `--min-speedup S` the run fails (exit 1) unless the compiled
 //! engine beats `baseline` by at least `S`× QPS on the uniform stream —
@@ -40,7 +41,7 @@ use mps_bench::{fmt_duration, markdown_table, random_dims, write_artifact};
 use mps_core::{grid_structure, MultiPlacementStructure, PlacementId};
 use mps_geom::Dims;
 use mps_netlist::{benchmarks, modgen};
-use mps_serve::{CompiledIndex, CompiledQueryIndex, IndexPlan, QueryScratch};
+use mps_serve::{CompiledIndex, IndexPlan, QueryScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Map, Serialize, Value};
@@ -314,7 +315,7 @@ fn main() {
     );
 
     eprintln!("compiling query index ...");
-    let index = CompiledQueryIndex::build(&mps);
+    let index = CompiledIndex::build(&mps, IndexPlan::V1);
     eprintln!(
         "  v1: {} segments, {} bitset word(s), {} bytes",
         index.segment_count(),

@@ -475,7 +475,7 @@ impl MultiPlacementStructure {
     /// raw indices of the placements valid there.
     ///
     /// Public so downstream consumers can *compile* the rows into
-    /// alternative physical layouts (mps-serve's `CompiledQueryIndex`
+    /// alternative physical layouts (mps-serve's `CompiledIndex`
     /// flattens them into contiguous arrays plus bitsets). The raw `u32`
     /// indices in a row are exactly the [`PlacementId`] values
     /// [`Self::query`] returns.

@@ -143,7 +143,7 @@ impl<T: Copy + Ord> IntervalMap<T> {
     ///
     /// This exists for consumers that *compile* a row into a different
     /// physical layout (e.g. the flattened arrays + bitsets of
-    /// `mps-serve`'s `CompiledQueryIndex`) and need the invariant-bearing
+    /// `mps-serve`'s `CompiledIndex`) and need the invariant-bearing
     /// representation without per-segment iterator indirection. The slice
     /// upholds every invariant of [`IntervalMap::check_invariants`].
     #[must_use]

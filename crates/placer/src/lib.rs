@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bstar;
 mod cost;
 mod expansion;
 mod placement;
@@ -45,7 +44,6 @@ mod seqpair;
 mod symmetry;
 mod template;
 
-pub use bstar::BStarTree;
 pub use cost::{CostBreakdown, CostCalculator, CostWeights};
 pub use expansion::{expand_placement, ExpandPlacementError, ExpansionConfig};
 pub use placement::Placement;

@@ -3,22 +3,22 @@
 use mps_geom::{Coord, Rect};
 use mps_netlist::benchmarks::random_circuit;
 use mps_placer::{
-    expand_placement, BStarTree, CostCalculator, ExpansionConfig, Placement, SequencePair, Template,
+    expand_placement, CostCalculator, ExpansionConfig, Placement, SequencePair, Template,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // ------------------------------------------------------------------
-    // Both topological representations always produce legal, compacted
-    // floorplans — for any tree/pair shape and any dimensions.
+    // Sequence-pair packing always produces a legal, compacted floorplan
+    // — for any pair shape and any dimensions.
     // ------------------------------------------------------------------
 
     #[test]
-    fn bstar_and_seqpair_packings_are_legal(
+    fn seqpair_packings_are_legal(
         seed in 0u64..10_000,
         n in 1usize..22,
         dims in prop::collection::vec((1i64..60, 1i64..60), 22),
@@ -26,40 +26,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let dims = &dims[..n];
 
-        let tree = BStarTree::random(n, &mut rng);
-        tree.check_invariants().map_err(TestCaseError::fail)?;
-        let pt = tree.pack(dims);
-        prop_assert!(pt.is_legal(dims, None));
-
         let sp = SequencePair::random(n, &mut rng);
         let ps = sp.pack(dims);
         prop_assert!(ps.is_legal(dims, None));
 
-        // Both packers anchor at the origin.
-        prop_assert_eq!(pt.bounding_box(dims).unwrap().origin(), mps_geom::Point::origin());
+        // The packer anchors at the origin.
         prop_assert_eq!(ps.bounding_box(dims).unwrap().origin(), mps_geom::Point::origin());
-    }
-
-    #[test]
-    fn bstar_moves_never_break_legality(
-        seed in 0u64..5_000,
-        n in 2usize..15,
-        moves in prop::collection::vec(0u8..3, 1..40),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut tree = BStarTree::random(n, &mut rng);
-        let dims: Vec<(Coord, Coord)> = (0..n)
-            .map(|_| (rng.random_range(1..40), rng.random_range(1..40)))
-            .collect();
-        for &m in &moves {
-            match m {
-                0 => tree.swap_blocks(&mut rng),
-                1 => tree.move_subtree(&mut rng),
-                _ => tree.rotate(&mut rng),
-            }
-            tree.check_invariants().map_err(TestCaseError::fail)?;
-            prop_assert!(tree.pack(&dims).is_legal(&dims, None));
-        }
     }
 
     // ------------------------------------------------------------------

@@ -4,24 +4,17 @@
 //! The paper's economics are *generate once, query many* (Fig. 1): the
 //! expensive nested-annealing generation runs offline; synthesis loops
 //! then instantiate placements in microseconds. This crate is the "many"
-//! side — the serving subsystem the ROADMAP's north star ("heavy traffic
-//! from millions of users") needs:
+//! side, the serving subsystem:
 //!
-//! * [`CompiledQueryIndex`] — a structure's interval rows compiled once
-//!   into flat sorted arrays plus fixed-width candidate bitsets: binary
-//!   search + bitset `AND` per query, **zero heap allocation per query**,
-//!   bit-identical to [`mps_core::MultiPlacementStructure::query`]
-//!   (cross-checked on every load).
-//! * [`CompiledQueryIndexV2`] — the v2 plan for large structures: per
-//!   row, an eyros-style pivot/bucket/center partition (quantile pivots
-//!   in Eytzinger order, center entries for pivot-straddling segments,
-//!   leaf buckets for the rest) over an interned bitset pool with
-//!   per-set nonzero-word lists, so intersection touches only live
-//!   words and lookup cost stays near-flat as region count grows.
-//!   [`IndexPlan::choose`] picks the plan per structure at load time;
-//!   [`CompiledIndex`] dispatches either behind one surface, and both
-//!   plans share one [`QueryScratch`]. Same bit-identity contract,
-//!   enforced by the same load-time differential check.
+//! * [`CompiledIndex`] — a structure's interval rows compiled once into
+//!   flat sorted arrays plus per-segment candidate bitsets, **zero heap
+//!   allocation per query** through a [`QueryScratch`], bit-identical to
+//!   [`mps_core::MultiPlacementStructure::query`] (cross-checked on every
+//!   load). Its [`IndexPlan`], picked per structure at load time by
+//!   [`IndexPlan::choose`], only changes the row layout: v1 binary-searches
+//!   each row and `AND`s the full bitset width; v2 adds an eyros-style
+//!   pivot tree with center entries per row and `AND`s only the live
+//!   words, so lookup cost stays near-flat as region count grows.
 //! * [`StructureRegistry`] — the set of persisted `mps-v1` artifacts a
 //!   server answers for, loaded from a directory and hot-swapped behind
 //!   an `Arc`: readers take lock-free snapshots; a reload swaps the whole
@@ -61,7 +54,6 @@
 
 mod cache;
 mod compiled;
-mod compiled_v2;
 #[cfg(feature = "serde")]
 pub mod frame;
 mod pool;
@@ -90,8 +82,7 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 pub use cache::{AnswerCache, CacheClass, CacheLookup, CacheStats, MissToken};
-pub use compiled::{CompiledQueryIndex, QueryScratch};
-pub use compiled_v2::{CompiledIndex, CompiledQueryIndexV2, IndexPlan};
+pub use compiled::{CompiledIndex, IndexPlan, QueryScratch};
 pub use pool::WorkerPool;
 #[cfg(feature = "serde")]
 pub use protocol::{

@@ -21,7 +21,7 @@
 //!    under the same Resolve Overlaps discipline generation uses.
 //! 3. **Verify + compare** — the candidate must pass the full
 //!    invariant battery (`check_invariants` inside `refine_region`,
-//!    `CompiledQueryIndex::verify_against` via
+//!    `CompiledIndex::verify_against` via
 //!    [`ServedStructure::try_from_structure`]) and must *strictly
 //!    improve* the instantiated-placement cost (bounding-box area of
 //!    the served placement) over a deterministic probe set drawn from

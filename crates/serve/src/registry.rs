@@ -16,7 +16,7 @@
 //!   the published `Arc` — in-flight queries keep their old snapshot
 //!   alive until they finish (no torn state, no serving pause).
 
-use crate::compiled_v2::CompiledIndex;
+use crate::compiled::CompiledIndex;
 use mps_core::{MultiPlacementStructure, PersistError};
 use std::collections::HashMap;
 use std::fmt;

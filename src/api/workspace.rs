@@ -3,7 +3,7 @@
 //!
 //! The paper's economics are *generate once, query many* (Fig. 1); the
 //! repo grew each stage separately — [`MpsGenerator`] for generation,
-//! `save_json`/`load_json` for persistence, [`CompiledQueryIndex`] for
+//! `save_json`/`load_json` for persistence, [`CompiledIndex`] for
 //! the serving hot path, [`StructureRegistry`] for hot-swappable
 //! serving — and every consumer re-stitched them by hand. A
 //! [`Workspace`] is that stitching done once, behind one directory:
@@ -12,7 +12,8 @@
 //!   an existing `mps-v1` artifact is loaded (re-validated, circuit
 //!   cross-checked), otherwise the structure is generated **and
 //!   persisted** so the next session loads instead;
-//! * every handle auto-compiles a [`CompiledQueryIndex`], cross-checked
+//! * every handle compiles a [`CompiledIndex`] with
+//!   [`CompiledIndex::build_auto`], cross-checked
 //!   against the interpretive path before first use, so
 //!   [`Workspace::query`] always runs the fast plan with bit-identical
 //!   answers;
@@ -21,7 +22,8 @@
 //!   `mps-serve`.
 //!
 //! [`MpsGenerator`]: mps_core::MpsGenerator
-//! [`CompiledQueryIndex`]: mps_serve::CompiledQueryIndex
+//! [`CompiledIndex`]: mps_serve::CompiledIndex
+//! [`CompiledIndex::build_auto`]: mps_serve::CompiledIndex::build_auto
 
 use crate::api::{MpsError, QueryError};
 use mps_core::{

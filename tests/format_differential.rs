@@ -4,12 +4,12 @@
 //! byte-identical re-serialization, and the structure loaded from
 //! either format must answer identically under a large random probe
 //! battery (≥ 1000 probes per circuit via
-//! [`CompiledQueryIndex::verify_against`]).
+//! [`CompiledIndex::verify_against`]).
 #![cfg(feature = "serde")]
 
 use analog_mps::mps::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
 use analog_mps::netlist::benchmarks;
-use analog_mps::serve::CompiledQueryIndex;
+use analog_mps::serve::{CompiledIndex, IndexPlan};
 
 const FIXTURE: &str = include_str!("fixtures/circ02_mps.json");
 
@@ -45,10 +45,10 @@ fn assert_formats_equivalent(mps: &MultiPlacementStructure, label: &str) {
 
     // Identical answers: compile each load into the flat query index and
     // cross-verify against the *other* load over a deep probe battery.
-    CompiledQueryIndex::build(&from_bin)
+    CompiledIndex::build(&from_bin, IndexPlan::V1)
         .verify_against(&from_json, PROBES, PROBE_SEED)
         .unwrap_or_else(|e| panic!("{label}: binary load diverges from JSON load: {e}"));
-    CompiledQueryIndex::build(&from_json)
+    CompiledIndex::build(&from_json, IndexPlan::V1)
         .verify_against(&from_bin, PROBES, PROBE_SEED.rotate_left(17))
         .unwrap_or_else(|e| panic!("{label}: JSON load diverges from binary load: {e}"));
 }
