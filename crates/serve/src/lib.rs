@@ -95,6 +95,5 @@ pub use registry::{ReloadReport, ServeError, ServedStructure, StructureRegistry}
 pub use server::{Server, ServerConfig};
 pub use telemetry::{
     HeatSnapshot, HistogramSnapshot, LaneStats, LatencyHistogram, SlowRing, Stage, StageTrace,
-    StripedCounters, StructureHeat, Telemetry, TraceEntry, HEAT_BINS, HISTOGRAM_BUCKETS,
-    STAGE_COUNT,
+    StructureHeat, Telemetry, TraceEntry, HEAT_BINS, HISTOGRAM_BUCKETS, STAGE_COUNT,
 };

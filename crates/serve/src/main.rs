@@ -3,9 +3,8 @@
 //!
 //! ```sh
 //! mps-serve <ARTIFACT_DIR> [--tcp PORT] [--workers N] [--shards N]
-//!           [--max-connections N] [--cache-entries N] [--cache-shards N]
-//!           [--telemetry on|off] [--metrics-interval SECS]
-//!           [--refine on|off] [--refine-interval SECS]
+//!           [--max-connections N] [--cache-entries N]
+//!           [--telemetry on|off] [--refine on|off] [--refine-interval SECS]
 //! mps-serve convert <IN> <OUT>
 //! ```
 //!
@@ -37,14 +36,13 @@
 //! `--max-connections N` caps concurrently open TCP connections
 //! (default 4096; 0 = unlimited): an accept beyond the cap is answered
 //! with one typed `overloaded` error line and closed. `--cache-entries
-//! N` sizes the sharded LRU answer cache (default 4096; 0 disables it),
-//! `--cache-shards N` its shard count (default 8).
+//! N` sizes the answer cache, an LRU split over 8 shards (default 4096;
+//! 0 disables it).
 //!
 //! `--telemetry off` disables the telemetry layer (per-stage latency
 //! histograms, query-dimension heatmaps, the slow-request ring; default
 //! on — the `metrics` and `trace` protocol requests report it either
-//! way). `--metrics-interval SECS` prints a one-line telemetry summary
-//! to stderr every `SECS` seconds (0, the default, prints none).
+//! way).
 //!
 //! `--refine on` starts the traffic-adaptive refinement worker: every
 //! `--refine-interval SECS` (default 30) it reads the query-dimension
@@ -64,9 +62,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: mps-serve <ARTIFACT_DIR> [--tcp PORT] [--workers N] [--shards N] \
-                     [--max-connections N] [--cache-entries N] [--cache-shards N]\n\
-                     \x20                [--telemetry on|off] [--metrics-interval SECS] \
-                     [--refine on|off] [--refine-interval SECS]\n\
+                     [--max-connections N] [--cache-entries N]\n\
+                     \x20                [--telemetry on|off] [--refine on|off] \
+                     [--refine-interval SECS]\n\
                      \x20      mps-serve convert <IN> <OUT>   (artifact format by extension: \
                      .json = mps-v1, .mpsb = mps-v2)";
 
@@ -122,7 +120,6 @@ fn main() -> ExitCode {
     }
     let mut dir: Option<String> = None;
     let mut tcp_port: Option<u16> = None;
-    let mut metrics_interval: u64 = 0;
     let mut config = ServerConfig::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -147,17 +144,9 @@ fn main() -> ExitCode {
                 Some(Ok(n)) => config.cache_entries = n,
                 _ => return usage(),
             },
-            "--cache-shards" => match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => config.cache_shards = n,
-                _ => return usage(),
-            },
             "--telemetry" => match it.next().as_deref() {
                 Some("on") => config.telemetry = true,
                 Some("off") => config.telemetry = false,
-                _ => return usage(),
-            },
-            "--metrics-interval" => match it.next().as_deref().map(str::parse) {
-                Some(Ok(secs)) => metrics_interval = secs,
                 _ => return usage(),
             },
             "--refine" => match it.next().as_deref() {
@@ -194,43 +183,30 @@ fn main() -> ExitCode {
         registry.len(),
         registry.names().join(", ")
     );
-    let cache_note = if config.cache_entries == 0 {
-        "answer cache disabled".to_owned()
-    } else {
+    let server = Arc::new(Server::with_config(Arc::clone(&registry), config));
+    let cache = server.cache().stats();
+    let cache_note = if server.cache().enabled() {
         format!(
             "answer cache: {} entries over {} shard(s)",
-            config.cache_entries, config.cache_shards
+            cache.capacity, cache.shards
         )
+    } else {
+        "answer cache disabled".to_owned()
     };
     eprintln!(
         "mps-serve: {} worker(s), {} connection shard(s), {cache_note}",
-        config.workers.max(1),
-        config.effective_shards()
+        server.config().workers.max(1),
+        server.config().effective_shards()
     );
-    let server = Arc::new(Server::with_config(Arc::clone(&registry), config));
 
     // The background refinement worker (a no-op unless `--refine on`):
-    // detached like the metrics thread; it holds only a weak server
-    // reference and exits when the server drops.
+    // detached; it holds only a weak server reference and exits when the
+    // server drops.
     if server.spawn_refiner().is_some() {
         eprintln!(
             "mps-serve: refinement worker on ({}s interval)",
             server.config().refine_interval_secs.max(1)
         );
-    }
-
-    // Optional periodic one-line telemetry summary on stderr. The
-    // thread is detached on purpose: it only reads atomics and dies
-    // with the process.
-    if metrics_interval > 0 {
-        let metrics_server = Arc::clone(&server);
-        std::thread::Builder::new()
-            .name("mps-serve-metrics".to_owned())
-            .spawn(move || loop {
-                std::thread::sleep(std::time::Duration::from_secs(metrics_interval));
-                eprintln!("mps-serve: {}", metrics_server.metrics_line());
-            })
-            .expect("spawn metrics summary thread");
     }
 
     // Optional localhost TCP side: connections owned by shard event

@@ -17,7 +17,9 @@
 //!   alive until they finish (no torn state, no serving pause).
 
 use crate::compiled::CompiledIndex;
-use mps_core::{MultiPlacementStructure, PersistError};
+use mps_core::{MultiPlacementStructure, PersistError, PlacementId};
+use mps_geom::Dims;
+use mps_placer::Placement;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -233,6 +235,30 @@ impl ServedStructure {
     #[must_use]
     pub fn index(&self) -> &CompiledIndex {
         &self.index
+    }
+
+    /// The first block whose `dims` pair escapes the designer bounds, if
+    /// any. The fallback packing guarantees legality only inside them,
+    /// so instantiation refuses such vectors (each caller with its own
+    /// error type).
+    #[must_use]
+    pub fn first_out_of_bounds(&self, dims: &Dims) -> Option<usize> {
+        dims.iter()
+            .zip(self.structure.bounds())
+            .position(|(&(w, h), b)| !b.w.contains(w) || !b.h.contains(h))
+    }
+
+    /// The placement for `dims` and the id that decided it: one compiled
+    /// lookup, with only uncovered space falling through to the
+    /// structure's fallback packing.
+    #[must_use]
+    pub fn materialize(&self, dims: &Dims) -> (Option<PlacementId>, Placement) {
+        let id = self.index.query(dims);
+        let placement = match id.and_then(|id| self.structure.entry(id)) {
+            Some(entry) => entry.placement.clone(),
+            None => self.structure.instantiate_or_fallback(dims),
+        };
+        (id, placement)
     }
 }
 

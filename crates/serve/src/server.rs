@@ -25,10 +25,8 @@ use crate::protocol::{
 };
 use crate::registry::{ServedStructure, StructureRegistry};
 use crate::shard::{RecvBuffer, ShardSet, MAX_LINE_BYTES};
-use crate::telemetry::{HistogramSnapshot, Stage, StageTrace, StripedCounters, Telemetry};
-use mps_core::PlacementId;
+use crate::telemetry::{HistogramSnapshot, Stage, StageTrace, Telemetry};
 use mps_geom::Dims;
-use mps_placer::Placement;
 use serde::{Map, Serialize, Value};
 use std::io::{self, BufRead, Write};
 use std::net::{TcpListener, TcpStream};
@@ -47,9 +45,8 @@ const HEAVY_BATCH_VECTORS: usize = 256;
 /// two `trace` drains.
 const SLOW_RING_CAPACITY: usize = 32;
 
-/// Stripe count of the per-structure query tally (16 thread-affine
-/// stripes keep concurrent dispatchers off each other's locks).
-const STRUCTURE_COUNTER_STRIPES: usize = 16;
+/// Answer-cache shard count (clamped to `[1, cache_entries]`).
+const CACHE_SHARDS: usize = 8;
 
 /// Nanoseconds elapsed since `t`, saturated into `u64` (584 years).
 pub(crate) fn ns_since(t: Instant) -> u64 {
@@ -86,8 +83,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Total answer-cache capacity in entries; 0 disables the cache.
     pub cache_entries: usize,
-    /// Answer-cache shard count (clamped to `[1, cache_entries]`).
-    pub cache_shards: usize,
     /// Connection-shard event loops behind [`Server::serve_tcp`]: each
     /// owns a subset of the accepted connections via a non-blocking
     /// readiness loop. 0 means one per available core.
@@ -119,7 +114,6 @@ impl Default for ServerConfig {
         Self {
             workers: std::thread::available_parallelism().map_or(1, usize::from),
             cache_entries: 4096,
-            cache_shards: 8,
             shards: 0,
             max_connections: 4096,
             telemetry: true,
@@ -256,7 +250,6 @@ pub struct Server {
     connections_total: AtomicU64,
     connections_open: AtomicU64,
     connections_refused: AtomicU64,
-    per_structure: StripedCounters,
     telemetry: Arc<Telemetry>,
     refine_stats: crate::refine::RefineStats,
 }
@@ -296,7 +289,7 @@ impl Server {
                 telemetry.bind_lane(1 + shards + i);
             })
         };
-        let cache = AnswerCache::new(config.cache_entries, config.cache_shards);
+        let cache = AnswerCache::new(config.cache_entries, CACHE_SHARDS);
         Self {
             registry,
             config,
@@ -311,7 +304,6 @@ impl Server {
             connections_total: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
             connections_refused: AtomicU64::new(0),
-            per_structure: StripedCounters::new(STRUCTURE_COUNTER_STRIPES),
             telemetry,
             refine_stats: crate::refine::RefineStats::default(),
         }
@@ -776,64 +768,7 @@ impl Server {
         let enabled = self.telemetry.enabled();
         match request {
             Request::Query { structure, dims } => {
-                // Cache first, registry snapshot second — the order
-                // matters: a miss token taken *before* the snapshot
-                // cannot outlive a reload (the generation check or the
-                // shard clear drops the insert). The reverse order
-                // could accept an answer computed from the pre-reload
-                // snapshot into the post-reload cache.
-                let cache_started = (enabled && self.cache.enabled()).then(Instant::now);
-                let looked_up = self.cache.lookup(CacheClass::Query, &structure, &dims);
-                if let Some(t) = cache_started {
-                    trace.add(Stage::Cache, ns_since(t));
-                }
-                let token = match looked_up {
-                    // A hit replays the stored line verbatim, skipping
-                    // the registry lookup, the query *and* the response
-                    // render (only successful requests are ever cached,
-                    // so the stored line's checks all passed).
-                    CacheLookup::Hit(line) => {
-                        self.queries.fetch_add(1, Ordering::Relaxed);
-                        self.count_structure(&structure, 1);
-                        // The heat grid exists: the entry this hit
-                        // replays was stored by an earlier miss, which
-                        // created the grid.
-                        if let Some(heat) = self.telemetry.heat_get(&structure) {
-                            heat.record(&dims);
-                        }
-                        return Ok(Outcome::Rendered(line));
-                    }
-                    CacheLookup::Miss(token) => Some(token),
-                    CacheLookup::Disabled => None,
-                };
-                let served = self.lookup(&structure)?;
-                self.check_arity(&served, &dims)?;
-                self.queries.fetch_add(1, Ordering::Relaxed);
-                self.count_structure(&structure, 1);
-                if let Some(heat) = self.telemetry.heat_for(&structure, || heat_bounds(&served)) {
-                    heat.record(&dims);
-                }
-                let index_started = enabled.then(Instant::now);
-                let id = served.index().query(&dims);
-                // One clock read ends the index span and starts the
-                // render span — the two are adjacent on this thread.
-                let render_started = index_started.map(|t| {
-                    let now = Instant::now();
-                    trace.add(Stage::Index, ns_between(t, now));
-                    now
-                });
-                let mut map = ok_header("query");
-                map.insert("structure", Value::String(structure.clone()));
-                map.insert("id", id_value(id));
-                let line = crate::protocol::render(map);
-                if let Some(t) = render_started {
-                    trace.add(Stage::Render, ns_since(t));
-                }
-                if let Some(token) = token {
-                    self.cache
-                        .insert(token, CacheClass::Query, &structure, &dims, &line);
-                }
-                Ok(Outcome::Rendered(line))
+                self.answer_one(CacheClass::Query, structure, dims, trace)
             }
             Request::BatchQuery {
                 structure,
@@ -846,12 +781,8 @@ impl Server {
                 }
                 self.queries
                     .fetch_add(dims_list.len() as u64, Ordering::Relaxed);
-                self.count_structure(&structure, dims_list.len() as u64);
-                if let Some(heat) = self.telemetry.heat_for(&structure, || heat_bounds(&served)) {
-                    for dims in &dims_list {
-                        heat.record(dims);
-                    }
-                }
+                self.telemetry
+                    .record_vectors(&structure, &dims_list, || heat_bounds(&served));
                 // Batches bypass the answer cache deliberately: the
                 // compiled index answers an element in ~150ns, cheaper
                 // than any per-element cache lookup could be, and batch
@@ -877,73 +808,7 @@ impl Server {
                 Ok(Outcome::Map(map))
             }
             Request::Instantiate { structure, dims } => {
-                // Cache before registry snapshot — same stale-insert
-                // race as the query arm (see the comment there).
-                let cache_started = (enabled && self.cache.enabled()).then(Instant::now);
-                let looked_up = self
-                    .cache
-                    .lookup(CacheClass::Instantiate, &structure, &dims);
-                if let Some(t) = cache_started {
-                    trace.add(Stage::Cache, ns_since(t));
-                }
-                let token = match looked_up {
-                    // The biggest cache win: a hit skips the registry
-                    // lookup, the bounds checks (they passed when the
-                    // line was stored), the placement clone *and* the
-                    // coordinate render — it replays the stored bytes.
-                    CacheLookup::Hit(line) => {
-                        self.instantiations.fetch_add(1, Ordering::Relaxed);
-                        self.count_structure(&structure, 1);
-                        if let Some(heat) = self.telemetry.heat_get(&structure) {
-                            heat.record(&dims);
-                        }
-                        return Ok(Outcome::Rendered(line));
-                    }
-                    CacheLookup::Miss(token) => Some(token),
-                    CacheLookup::Disabled => None,
-                };
-                let served = self.lookup(&structure)?;
-                self.check_arity(&served, &dims)?;
-                self.check_bounds(&served, &dims)?;
-                self.instantiations.fetch_add(1, Ordering::Relaxed);
-                self.count_structure(&structure, 1);
-                if let Some(heat) = self.telemetry.heat_for(&structure, || heat_bounds(&served)) {
-                    heat.record(&dims);
-                }
-                // Computed right here: the shard loop already decides
-                // *before* dispatch whether this request deserves a pool
-                // slot.
-                let index_started = enabled.then(Instant::now);
-                let (id, placement) = materialize(&served, &dims);
-                // Shared clock read: index span end = render span start.
-                let render_started = index_started.map(|t| {
-                    let now = Instant::now();
-                    trace.add(Stage::Index, ns_between(t, now));
-                    now
-                });
-                let mut map = ok_header("instantiate");
-                map.insert("structure", Value::String(structure.clone()));
-                map.insert("id", id_value(id));
-                map.insert("fallback", Value::Bool(id.is_none()));
-                map.insert(
-                    "coords",
-                    Value::Array(
-                        placement
-                            .coords()
-                            .iter()
-                            .map(|p| Value::Array(vec![p.x.to_value(), p.y.to_value()]))
-                            .collect(),
-                    ),
-                );
-                let line = crate::protocol::render(map);
-                if let Some(t) = render_started {
-                    trace.add(Stage::Render, ns_since(t));
-                }
-                if let Some(token) = token {
-                    self.cache
-                        .insert(token, CacheClass::Instantiate, &structure, &dims, &line);
-                }
-                Ok(Outcome::Rendered(line))
+                self.answer_one(CacheClass::Instantiate, structure, dims, trace)
             }
             Request::Reload => {
                 let report = self.reload().map_err(|e| {
@@ -1017,6 +882,116 @@ impl Server {
         }
     }
 
+    /// The single-vector pipeline behind both `query` and `instantiate`
+    /// (`class` picks which): cache lookup, registry lookup and checks,
+    /// counting, the index span, then render and cache insert. Only
+    /// instantiate checks the designer bounds and materializes the
+    /// placement.
+    fn answer_one(
+        &self,
+        class: CacheClass,
+        structure: String,
+        dims: Dims,
+        trace: &mut StageTrace,
+    ) -> Result<Outcome, RequestError> {
+        let enabled = self.telemetry.enabled();
+        let (kind, counter) = match class {
+            CacheClass::Query => ("query", &self.queries),
+            CacheClass::Instantiate => ("instantiate", &self.instantiations),
+        };
+        // Cache first, registry snapshot second — the order matters: a
+        // miss token taken *before* the snapshot cannot outlive a reload
+        // (the generation check or the shard clear drops the insert).
+        // The reverse order could accept an answer computed from the
+        // pre-reload snapshot into the post-reload cache.
+        let cache_started = (enabled && self.cache.enabled()).then(Instant::now);
+        let looked_up = self.cache.lookup(class, &structure, &dims);
+        if let Some(t) = cache_started {
+            trace.add(Stage::Cache, ns_since(t));
+        }
+        let token = match looked_up {
+            // A hit replays the stored line verbatim, skipping the
+            // registry lookup, the checks (only successful answers are
+            // cached, so they passed), the index or placement work *and*
+            // the render.
+            CacheLookup::Hit(line) => {
+                counter.fetch_add(1, Ordering::Relaxed);
+                // The record exists: the entry this hit replays was
+                // stored by an earlier miss, which created it.
+                self.telemetry
+                    .record_vectors(&structure, std::slice::from_ref(&dims), || {
+                        self.registry
+                            .get(&structure)
+                            .map_or_else(Vec::new, |s| heat_bounds(&s))
+                    });
+                return Ok(Outcome::Rendered(line));
+            }
+            CacheLookup::Miss(token) => Some(token),
+            CacheLookup::Disabled => None,
+        };
+        let served = self.lookup(&structure)?;
+        self.check_arity(&served, &dims)?;
+        if class == CacheClass::Instantiate {
+            if let Some(i) = served.first_out_of_bounds(&dims) {
+                let ((w, h), b) = (dims[i], &served.structure().bounds()[i]);
+                return Err(RequestError::new(
+                    ErrorKind::OutOfBounds,
+                    format!(
+                        "block {i} dimensions ({w}, {h}) escape the designer bounds \
+                         w{:?} x h{:?} of structure `{structure}`",
+                        b.w, b.h
+                    ),
+                ));
+            }
+        }
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.telemetry
+            .record_vectors(&structure, std::slice::from_ref(&dims), || {
+                heat_bounds(&served)
+            });
+        // Computed right here: the shard loop already decided *before*
+        // dispatch whether this request deserves a pool slot.
+        let index_started = enabled.then(Instant::now);
+        let (id, placement) = match class {
+            CacheClass::Query => (served.index().query(&dims), None),
+            CacheClass::Instantiate => {
+                let (id, placement) = served.materialize(&dims);
+                (id, Some(placement))
+            }
+        };
+        // One clock read ends the index span and starts the render span
+        // — the two are adjacent on this thread.
+        let render_started = index_started.map(|t| {
+            let now = Instant::now();
+            trace.add(Stage::Index, ns_between(t, now));
+            now
+        });
+        let mut map = ok_header(kind);
+        map.insert("structure", Value::String(structure.clone()));
+        map.insert("id", id_value(id));
+        if let Some(placement) = placement {
+            map.insert("fallback", Value::Bool(id.is_none()));
+            map.insert(
+                "coords",
+                Value::Array(
+                    placement
+                        .coords()
+                        .iter()
+                        .map(|p| Value::Array(vec![p.x.to_value(), p.y.to_value()]))
+                        .collect(),
+                ),
+            );
+        }
+        let line = crate::protocol::render(map);
+        if let Some(t) = render_started {
+            trace.add(Stage::Render, ns_since(t));
+        }
+        if let Some(token) = token {
+            self.cache.insert(token, class, &structure, &dims, &line);
+        }
+        Ok(Outcome::Rendered(line))
+    }
+
     fn lookup(&self, name: &str) -> Result<Arc<ServedStructure>, RequestError> {
         self.registry.get(name).ok_or_else(|| {
             RequestError::new(
@@ -1044,38 +1019,9 @@ impl Server {
         Ok(())
     }
 
-    fn check_bounds(&self, served: &ServedStructure, dims: &Dims) -> Result<(), RequestError> {
-        for (i, (&(w, h), b)) in dims.iter().zip(served.structure().bounds()).enumerate() {
-            if !b.w.contains(w) || !b.h.contains(h) {
-                return Err(RequestError::new(
-                    ErrorKind::OutOfBounds,
-                    format!(
-                        "block {i} dimensions ({w}, {h}) escape the designer bounds \
-                         w{:?} x h{:?} of structure `{}`",
-                        b.w,
-                        b.h,
-                        served.name()
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Tallies answered work per structure name for the `stats` and
-    /// `metrics` views. The counters are striped per thread (see
-    /// [`StripedCounters`]): dispatching threads each increment their
-    /// own stripe, so this sits on the inline hot path without ever
-    /// making two connections — or a `stats` read — contend on one
-    /// shared lock. Counts survive reload snapshots (keyed by name, not
-    /// by snapshot).
-    fn count_structure(&self, name: &str, n: u64) {
-        self.per_structure.add(name, n);
-    }
-
     fn stats(&self) -> Map {
         let snapshot = self.registry.snapshot();
-        let per_structure = self.per_structure.merged();
+        let tallies = self.telemetry.tallies();
         let mut names: Vec<&String> = snapshot.keys().collect();
         names.sort_unstable();
         let structures: Vec<Value> = names
@@ -1091,7 +1037,7 @@ impl Server {
                 );
                 s.insert(
                     "queries",
-                    per_structure.get(name).copied().unwrap_or(0).to_value(),
+                    tallies.get(name).copied().unwrap_or(0).to_value(),
                 );
                 s.insert(
                     "index_plan",
@@ -1275,7 +1221,7 @@ impl Server {
         // Per-structure: the query tally and the dimension heatmap (in
         // name order — the BTreeMap behind the snapshot makes this
         // deterministic, which the byte-stability test relies on).
-        let tallies = self.per_structure.merged();
+        let tallies = self.telemetry.tallies();
         let mut structures = Map::new();
         for (name, heat) in self.telemetry.heat_snapshot() {
             let mut entry = Map::new();
@@ -1360,33 +1306,6 @@ impl Server {
         );
         map
     }
-
-    /// One summary line for the `--metrics-interval` stderr dump:
-    /// request totals, whole-server dispatch percentiles, cache hit
-    /// rate and the connection gauge.
-    #[must_use]
-    pub fn metrics_line(&self) -> String {
-        let dispatch = self.telemetry.merged_stage(Stage::Dispatch);
-        let c = self.cache.stats();
-        let lookups = c.hits + c.misses;
-        #[allow(clippy::cast_precision_loss)]
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            c.hits as f64 / lookups as f64
-        };
-        format!(
-            "requests={} errors={} dispatched={} dispatch_p50_ns={} dispatch_p99_ns={} \
-             dispatch_p999_ns={} cache_hit_rate={hit_rate:.4} connections_open={}",
-            self.requests.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            dispatch.count(),
-            dispatch.percentile(0.5),
-            dispatch.percentile(0.99),
-            dispatch.percentile(0.999),
-            self.connections_open.load(Ordering::Relaxed),
-        )
-    }
 }
 
 /// A histogram snapshot as its `metrics` JSON object: totals, the
@@ -1421,17 +1340,6 @@ fn heat_bounds(served: &ServedStructure) -> Vec<(i64, i64, i64, i64)> {
         .iter()
         .map(|b| (b.w.lo(), b.w.hi(), b.h.lo(), b.h.hi()))
         .collect()
-}
-
-/// One compiled lookup decides both the id and the placement; only
-/// uncovered space falls through to the structure's fallback path.
-fn materialize(served: &ServedStructure, dims: &Dims) -> (Option<PlacementId>, Placement) {
-    let id = served.index().query(dims);
-    let placement = match id.and_then(|id| served.structure().entry(id)) {
-        Some(entry) => entry.placement.clone(),
-        None => served.structure().instantiate_or_fallback(dims),
-    };
-    (id, placement)
 }
 
 #[cfg(test)]
@@ -1962,10 +1870,10 @@ mod tests {
     /// Regression, now structural: the per-structure query counters
     /// used to sit behind one shared `Mutex<BTreeMap>`, so a handler
     /// panicking while holding it poisoned every later request. The
-    /// striped counters have no server-wide lock to poison — a thread
-    /// dying right after touching them leaves later requests and
-    /// `stats` untouched (stripe-level poison recovery itself is
-    /// covered in the telemetry module's tests).
+    /// per-structure records recover their lock — a thread dying right
+    /// after touching them leaves later requests and `stats` untouched
+    /// (poison recovery itself is covered in the telemetry module's
+    /// tests).
     #[test]
     fn requests_survive_a_panicking_handler_thread() {
         let server = Arc::new(test_server());
@@ -1974,10 +1882,16 @@ mod tests {
         assert_eq!(first.get("ok").and_then(Value::as_bool), Some(true));
         let counting = Arc::clone(&server);
         let handle = std::thread::spawn(move || {
-            counting.per_structure.add("circ01", 1);
+            let served = counting.registry().get("circ01").unwrap();
+            counting
+                .telemetry()
+                .record_vectors("circ01", std::slice::from_ref(&dims), || {
+                    heat_bounds(&served)
+                });
             panic!("handler dies right after touching the shared counters");
         });
         assert!(handle.join().is_err(), "the thread must have panicked");
+        let dims = midpoint_dims(&server);
         let after = parse(&server.handle_line(&query_line(&dims)).unwrap());
         assert_eq!(
             after.get("ok").and_then(Value::as_bool),
@@ -1986,6 +1900,94 @@ mod tests {
         );
         let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
         assert_eq!(stats.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(structure_queries(&stats), 3, "no count is lost: {stats:?}");
+    }
+
+    /// `stats.structures[0].queries`: the per-structure tally.
+    fn structure_queries(stats: &Value) -> u64 {
+        let structures = stats.get("structures").and_then(Value::as_array).unwrap();
+        assert_eq!(structures.len(), 1);
+        structures[0]
+            .get("queries")
+            .and_then(Value::as_u64)
+            .unwrap()
+    }
+
+    /// The per-structure tally in `stats` counts every answered query,
+    /// instantiate and batch vector, cache hits included, and nothing
+    /// refused — with telemetry on or off. With telemetry on it equals
+    /// the `metrics` tally and the heat grid's total; with it off
+    /// `metrics` carries no structures at all.
+    #[test]
+    fn stats_tally_counts_every_answered_vector_with_telemetry_on_or_off() {
+        for telemetry in [true, false] {
+            let server = Server::with_config(
+                test_registry(),
+                ServerConfig {
+                    workers: 1,
+                    telemetry,
+                    ..ServerConfig::default()
+                },
+            );
+            let dims = midpoint_dims(&server);
+            let pairs: Vec<String> = dims.iter().map(|(w, h)| format!("[{w},{h}]")).collect();
+            let pairs = pairs.join(",");
+            let instantiate =
+                format!(r#"{{"kind":"instantiate","structure":"circ01","dims":[{pairs}]}}"#);
+            let batch = format!(
+                r#"{{"kind":"batch_query","structure":"circ01","dims_list":[[{pairs}],[{pairs}],[{pairs}]]}}"#
+            );
+            let escaping: Vec<String> = server
+                .registry()
+                .get("circ01")
+                .unwrap()
+                .structure()
+                .bounds()
+                .iter()
+                .map(|b| format!("[{},{}]", b.w.hi() + 1, b.h.hi() + 1))
+                .collect();
+            let out_of_bounds = format!(
+                r#"{{"kind":"instantiate","structure":"circ01","dims":[{}]}}"#,
+                escaping.join(",")
+            );
+            let bad_arity = r#"{"kind":"query","structure":"circ01","dims":[[1,1]]}"#;
+            // Query and instantiate each miss once and hit once: 2 + 2 + 3.
+            for line in [
+                &query_line(&dims),
+                &query_line(&dims),
+                &instantiate,
+                &instantiate,
+                &batch,
+            ] {
+                let response = parse(&server.handle_line(line).unwrap());
+                assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
+            }
+            for (line, kind) in [
+                (out_of_bounds.as_str(), "out_of_bounds"),
+                (bad_arity, "bad_arity"),
+            ] {
+                let response = parse(&server.handle_line(line).unwrap());
+                let error = response.get("error").unwrap();
+                assert_eq!(error.get("kind").and_then(Value::as_str), Some(kind));
+            }
+            assert_eq!(server.cache().stats().hits, 2);
+            let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+            assert_eq!(structure_queries(&stats), 7, "telemetry {telemetry}");
+            let metrics = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
+            let structures = metrics
+                .get("structures")
+                .and_then(Value::as_object)
+                .unwrap();
+            if telemetry {
+                let circ = structures.get("circ01").unwrap();
+                assert_eq!(circ.get("queries").and_then(Value::as_u64), Some(7));
+                let heat = circ.get("heat").unwrap();
+                assert_eq!(heat.get("total").and_then(Value::as_u64), Some(7));
+            } else {
+                assert!(structures.is_empty(), "{structures:?}");
+                assert!(server.telemetry().heat_snapshot().is_empty());
+            }
+        }
     }
 
     /// Regression: the open-connection gauge was decremented by a plain

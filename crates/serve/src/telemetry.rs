@@ -27,10 +27,16 @@
 //!   serving path: `recv → parse → dispatch → index/cache/pool →
 //!   render → write`. `recv`/`write` are per-socket-drain spans measured
 //!   by the shard event loops; the rest are per-request.
-//! * **Heatmaps** ([`StructureHeat`]) bucket each queried dimension
-//!   vector axis-wise against the structure's designer bounds on a fixed
-//!   [`HEAT_BINS`]-bin grid — the observed query-dimension distribution
-//!   the ROADMAP's traffic-adaptive refinement needs as input.
+//! * **Per-structure records** keep, under one name-keyed map, the
+//!   tally of answered vectors and the dimension heat grid. The tally is
+//!   counted whatever the telemetry knob says (`stats` reports it); the
+//!   grid ([`StructureHeat`]) exists only while telemetry is on. It
+//!   buckets each answered dimension vector axis-wise against the
+//!   structure's designer bounds on a fixed [`HEAT_BINS`]-bin grid — the
+//!   observed query-dimension distribution that traffic-adaptive
+//!   refinement reads. Recording one vector is one read-locked name
+//!   lookup plus atomic adds; the write lock is taken only the first
+//!   time a name is seen.
 //! * **The slow ring** ([`SlowRing`]) keeps the N worst requests by
 //!   total time with their full stage breakdown, behind an atomic floor
 //!   so the common (fast) request never takes its lock.
@@ -48,8 +54,8 @@
 use crate::lock_recover;
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Number of per-request pipeline stages ([`Stage`] variants).
@@ -528,80 +534,35 @@ pub struct HeatSnapshot {
     pub blocks: Vec<([u64; HEAT_BINS], [u64; HEAT_BINS])>,
 }
 
-/// Sharded per-name counters for the dispatch hot path: each recording
-/// thread owns (a round-robin-assigned) stripe, so increments from
-/// different threads never contend, and a `stats`/`metrics` read merges
-/// stripes without ever stalling dispatch on one shared lock.
+/// One structure's entry in the [`Telemetry`] record map: the tally of
+/// answered vectors (always counted) and, only while telemetry is on,
+/// their dimension heat grid.
 #[derive(Debug)]
-pub struct StripedCounters {
-    // BTreeMap, not HashMap: the keys are a handful of short structure
-    // names, and 3-4 pointer-chasing string compares beat SipHashing the
-    // name on every single dispatch.
-    stripes: Vec<Mutex<BTreeMap<String, u64>>>,
+struct StructureRecord {
+    vectors: AtomicU64,
+    heat: Option<StructureHeat>,
 }
 
-/// Round-robin stripe assignment, one per thread for its lifetime.
-static STRIPE_SEQ: AtomicUsize = AtomicUsize::new(0);
+impl StructureRecord {
+    fn record<V: AsRef<[(i64, i64)]>>(&self, vectors: &[V]) {
+        self.vectors
+            .fetch_add(vectors.len() as u64, Ordering::Relaxed);
+        if let Some(heat) = &self.heat {
+            for dims in vectors {
+                heat.record(dims.as_ref());
+            }
+        }
+    }
+}
 
 thread_local! {
-    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
     static LANE: Cell<usize> = const { Cell::new(0) };
 }
 
-fn thread_stripe() -> usize {
-    STRIPE.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            v = STRIPE_SEQ.fetch_add(1, Ordering::Relaxed);
-            s.set(v);
-        }
-        v
-    })
-}
-
-impl StripedCounters {
-    /// A counter map spread over `stripes` independently locked stripes
-    /// (clamped to at least 1).
-    #[must_use]
-    pub fn new(stripes: usize) -> Self {
-        Self {
-            stripes: (0..stripes.max(1))
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
-        }
-    }
-
-    /// Adds `n` under `name` in the calling thread's stripe. The stripe
-    /// is thread-affine, so concurrent callers on different threads
-    /// (almost) never share a lock.
-    pub fn add(&self, name: &str, n: u64) {
-        let stripe = &self.stripes[thread_stripe() % self.stripes.len()];
-        let mut map = lock_recover(stripe);
-        if let Some(count) = map.get_mut(name) {
-            *count += n;
-        } else {
-            map.insert(name.to_owned(), n);
-        }
-    }
-
-    /// Merges every stripe into one sorted view. Each stripe is read
-    /// under its own lock, so per-stripe counts are coherent; the
-    /// cross-stripe sum is monotonic between two reads.
-    #[must_use]
-    pub fn merged(&self) -> BTreeMap<String, u64> {
-        let mut merged = BTreeMap::new();
-        for stripe in &self.stripes {
-            for (name, count) in lock_recover(stripe).iter() {
-                *merged.entry(name.clone()).or_insert(0) += count;
-            }
-        }
-        merged
-    }
-}
-
 /// The server-wide telemetry hub: per-lane per-stage histograms, the
-/// per-structure heat grids, and the slow-request ring. One instance
-/// per [`Server`](crate::Server), shared by every serving thread.
+/// per-structure records (tallies and heat grids), and the slow-request
+/// ring. One instance per [`Server`](crate::Server), shared by every
+/// serving thread.
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
@@ -609,7 +570,10 @@ pub struct Telemetry {
     /// `shards+1..` = pool workers.
     lanes: Vec<LaneStats>,
     shards: usize,
-    heat: RwLock<BTreeMap<String, Arc<StructureHeat>>>,
+    // BTreeMap, not HashMap: the keys are a handful of short structure
+    // names, and 3-4 string compares beat SipHashing the name on every
+    // answered vector.
+    structures: RwLock<BTreeMap<String, StructureRecord>>,
     slow: SlowRing,
     started: Instant,
 }
@@ -617,8 +581,8 @@ pub struct Telemetry {
 impl Telemetry {
     /// A telemetry hub for `shards` shard lanes and `workers` worker
     /// lanes (plus the inline lane). With `enabled` false every
-    /// recording call is a cheap no-op and `metrics` reports
-    /// `"enabled":false`.
+    /// recording call but the per-structure tally is a cheap no-op and
+    /// `metrics` reports `"enabled":false`.
     #[must_use]
     pub fn new(shards: usize, workers: usize, enabled: bool, slow_capacity: usize) -> Self {
         let lanes = (0..1 + shards + workers)
@@ -628,7 +592,7 @@ impl Telemetry {
             enabled,
             lanes,
             shards,
-            heat: RwLock::new(BTreeMap::new()),
+            structures: RwLock::new(BTreeMap::new()),
             slow: SlowRing::new(slow_capacity),
             started: Instant::now(),
         }
@@ -745,47 +709,59 @@ impl Telemetry {
         &self.slow
     }
 
-    /// The heat grid for `structure`, creating it from `bounds` on
-    /// first sight. Grids are keyed by name and survive registry
-    /// reloads, so the observed distribution accumulates across
-    /// hot-swaps. Returns `None` when telemetry is off.
-    pub fn heat_for(
+    /// Counts `vectors` answered for `structure` and, with telemetry on,
+    /// bins each into the structure's heat grid. The record is created on
+    /// first sight, its grid from `bounds` (not called with telemetry
+    /// off). Records are keyed by name and survive registry reloads, so
+    /// tallies and the observed distribution accumulate across
+    /// hot-swaps.
+    pub fn record_vectors<V: AsRef<[(i64, i64)]>>(
         &self,
         structure: &str,
+        vectors: &[V],
         bounds: impl FnOnce() -> Vec<(i64, i64, i64, i64)>,
-    ) -> Option<Arc<StructureHeat>> {
-        if !self.enabled {
-            return None;
-        }
-        if let Some(heat) = self.heat_get(structure) {
-            return Some(heat);
-        }
-        let mut map = self.heat.write().unwrap_or_else(PoisonError::into_inner);
-        Some(Arc::clone(
-            map.entry(structure.to_owned())
-                .or_insert_with(|| Arc::new(StructureHeat::new(bounds()))),
-        ))
-    }
-
-    /// The heat grid for `structure`, if one exists (it does for every
-    /// structure that has answered at least one uncached request).
-    #[must_use]
-    pub fn heat_get(&self, structure: &str) -> Option<Arc<StructureHeat>> {
-        self.heat
+    ) {
+        if let Some(record) = self
+            .structures
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(structure)
-            .cloned()
+        {
+            return record.record(vectors);
+        }
+        let mut map = self
+            .structures
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        map.entry(structure.to_owned())
+            .or_insert_with(|| StructureRecord {
+                vectors: AtomicU64::new(0),
+                heat: self.enabled.then(|| StructureHeat::new(bounds())),
+            })
+            .record(vectors);
     }
 
-    /// Every structure's heat grid, frozen, in name order.
+    /// Every structure's answered-vector tally, in name order — recorded
+    /// with telemetry on or off.
     #[must_use]
-    pub fn heat_snapshot(&self) -> BTreeMap<String, HeatSnapshot> {
-        self.heat
+    pub fn tallies(&self) -> BTreeMap<String, u64> {
+        self.structures
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
-            .map(|(name, heat)| (name.clone(), heat.snapshot()))
+            .map(|(name, record)| (name.clone(), record.vectors.load(Ordering::Relaxed)))
+            .collect()
+    }
+
+    /// Every structure's heat grid, frozen, in name order; empty while
+    /// telemetry is off.
+    #[must_use]
+    pub fn heat_snapshot(&self) -> BTreeMap<String, HeatSnapshot> {
+        self.structures
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .filter_map(|(name, record)| Some((name.clone(), record.heat.as_ref()?.snapshot())))
             .collect()
     }
 
@@ -1019,38 +995,45 @@ mod tests {
     }
 
     #[test]
-    fn striped_counters_merge_across_threads() {
-        let counters = StripedCounters::new(4);
+    fn structure_records_sum_exactly_across_threads() {
+        let telemetry = Telemetry::new(1, 1, true, 8);
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                let counters = &counters;
+                let telemetry = &telemetry;
                 scope.spawn(move || {
                     for _ in 0..1_000 {
-                        counters.add("alpha", 1);
+                        telemetry.record_vectors("alpha", &[[(0, 0)]], || vec![(0, 1, 0, 1)]);
                     }
-                    counters.add("beta", 5);
+                    telemetry.record_vectors("beta", &[[(1, 1)]; 5], || vec![(0, 1, 0, 1)]);
                 });
             }
         });
-        let merged = counters.merged();
-        assert_eq!(merged.get("alpha"), Some(&8_000));
-        assert_eq!(merged.get("beta"), Some(&40));
-        assert_eq!(merged.len(), 2);
+        let tallies = telemetry.tallies();
+        assert_eq!(tallies.get("alpha"), Some(&8_000));
+        assert_eq!(tallies.get("beta"), Some(&40));
+        assert_eq!(tallies.len(), 2);
+        let heat = telemetry.heat_snapshot();
+        assert_eq!(
+            heat["alpha"].total, 8_000,
+            "the grid counts what the tally counts"
+        );
+        assert_eq!(heat["beta"].total, 40);
     }
 
-    /// A thread panicking while holding a stripe lock poisons only that
-    /// stripe, and both recording and merging recover its data.
+    /// A thread panicking while holding the record map's lock poisons
+    /// it, and both recording and reading recover its data.
     #[test]
-    fn striped_counters_recover_from_a_poisoned_stripe() {
-        let counters = StripedCounters::new(1); // every thread shares stripe 0
-        counters.add("alpha", 1);
+    fn structure_records_recover_from_a_poisoned_lock() {
+        let telemetry = Telemetry::new(1, 1, true, 8);
+        telemetry.record_vectors("alpha", &[[(0, 0)]], || vec![(0, 1, 0, 1)]);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = counters.stripes[0].lock().unwrap();
-            panic!("die while holding the stripe lock");
+            let _guard = telemetry.structures.write().unwrap();
+            panic!("die while holding the record lock");
         }));
-        assert!(counters.stripes[0].is_poisoned());
-        counters.add("alpha", 2);
-        assert_eq!(counters.merged().get("alpha"), Some(&3));
+        assert!(telemetry.structures.is_poisoned());
+        telemetry.record_vectors("alpha", &[[(1, 1)]; 2], || vec![(0, 1, 0, 1)]);
+        assert_eq!(telemetry.tallies().get("alpha"), Some(&3));
+        assert_eq!(telemetry.heat_snapshot()["alpha"].total, 3);
     }
 
     #[test]
@@ -1090,9 +1073,13 @@ mod tests {
         trace.add(Stage::Dispatch, 1_000_000);
         telemetry.record_completion(&trace);
         telemetry.observe_slow("query", None, None, &trace);
-        assert!(telemetry.heat_for("s", || vec![(0, 1, 0, 1)]).is_none());
+        telemetry.record_vectors("s", &[[(0, 0)]], || {
+            unreachable!("no heat grid may be built while telemetry is off")
+        });
         assert_eq!(telemetry.merged_stage(Stage::Dispatch).count(), 0);
         assert!(telemetry.slow_ring().drain().is_empty());
         assert!(telemetry.heat_snapshot().is_empty());
+        // The tally alone is kept: `stats` reports it either way.
+        assert_eq!(telemetry.tallies().get("s"), Some(&1));
     }
 }

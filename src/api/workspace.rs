@@ -346,28 +346,16 @@ impl Workspace {
     pub fn instantiate(&self, name: &str, dims: &Dims) -> Result<Placement, MpsError> {
         let handle = self.handle(name)?;
         self.check_arity(handle, dims)?;
-        for (block, (&pair, b)) in dims.iter().zip(handle.structure().bounds()).enumerate() {
-            if !b.w.contains(pair.0) || !b.h.contains(pair.1) {
-                return Err(QueryError::OutOfBounds {
-                    structure: name.into(),
-                    block,
-                    dims: pair,
-                }
-                .into());
+        if let Some(block) = handle.first_out_of_bounds(dims) {
+            return Err(QueryError::OutOfBounds {
+                structure: name.into(),
+                block,
+                dims: dims[block],
             }
+            .into());
         }
-        // One compiled lookup decides both id and placement; only
-        // uncovered space falls through to the structure's fallback path
-        // (the same dispatch the server performs).
-        let placement = match handle
-            .index()
-            .query(dims)
-            .and_then(|id| handle.structure().entry(id))
-        {
-            Some(entry) => entry.placement.clone(),
-            None => handle.structure().instantiate_or_fallback(dims),
-        };
-        Ok(placement)
+        // The same materialization the server performs.
+        Ok(handle.materialize(dims).1)
     }
 
     /// Opens the workspace directory as a hot-swappable serving
@@ -383,11 +371,11 @@ impl Workspace {
 
     /// Opens the workspace directory as a ready-to-pump [`Server`]:
     /// [`Workspace::serve_registry`] plus the serving knobs — worker
-    /// pool size, the sharded LRU answer cache (capacity / shard
-    /// count; `cache_entries` 0 disables caching) and the telemetry
-    /// layer (`telemetry`, default on: per-stage latency histograms,
-    /// query-dimension heatmaps and the slow-request ring behind the
-    /// `metrics`/`trace` protocol requests). The returned server
+    /// pool size, the sharded LRU answer cache (`cache_entries`; 0
+    /// disables caching) and the telemetry layer (`telemetry`, default
+    /// on: per-stage latency histograms, query-dimension heatmaps and
+    /// the slow-request ring behind the `metrics`/`trace` protocol
+    /// requests). The returned server
     /// speaks the full `mps-serve` protocol (`reload` hot-swaps with
     /// all-or-nothing cache invalidation) over any `BufRead`/`Write`
     /// pair, in request order, or a TCP listener, with pipelined tagged
@@ -400,7 +388,6 @@ impl Workspace {
     /// let server = std::sync::Arc::new(ws.serve_server(ServerConfig {
     ///     workers: 4,
     ///     cache_entries: 65_536,
-    ///     cache_shards: 16,
     ///     ..ServerConfig::default()
     /// })?);
     /// let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -566,7 +553,6 @@ mod tests {
             .serve_server(ServerConfig {
                 workers: 1,
                 cache_entries: 32,
-                cache_shards: 2,
                 ..ServerConfig::default()
             })
             .unwrap();
@@ -586,7 +572,6 @@ mod tests {
             .serve_server(ServerConfig {
                 workers: 1,
                 cache_entries: 0,
-                cache_shards: 2,
                 ..ServerConfig::default()
             })
             .unwrap();

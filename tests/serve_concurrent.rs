@@ -51,7 +51,6 @@ fn concurrent_clients_with_hot_reload_never_diverge() {
         ws.serve_server(ServerConfig {
             workers: 3,
             cache_entries: 512,
-            cache_shards: 4,
             ..ServerConfig::default()
         })
         .unwrap(),
@@ -290,7 +289,6 @@ fn two_hundred_fifty_six_clients_never_diverge() {
         ws.serve_server(ServerConfig {
             workers: 2,
             cache_entries: 1024,
-            cache_shards: 4,
             shards: 2,
             ..ServerConfig::default()
         })

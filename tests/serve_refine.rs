@@ -48,7 +48,6 @@ fn refinement_under_live_load_never_diverges_and_survives_restart() {
         ws.serve_server(ServerConfig {
             workers: 3,
             cache_entries: 512,
-            cache_shards: 4,
             ..ServerConfig::default()
         })
         .unwrap(),
