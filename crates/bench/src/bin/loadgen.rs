@@ -20,7 +20,8 @@
 //! never collide):
 //!
 //! * `uniform` at every `--clients` level — per-concurrency scaling on
-//!   uniformly random in-bounds queries;
+//!   uniformly random in-bounds queries, no two requests of a scenario
+//!   sharing a vector, so the answer cache never hits;
 //! * `hotspot` at the highest level — 90% of probes cycle a 16-vector
 //!   hot set, half `query` / half `instantiate` (the synthesis-loop
 //!   pattern the answer cache targets; instantiate is where a hit saves
@@ -45,6 +46,12 @@
 //!   clients against the default server and against `--workers 1`:
 //!   each batch takes one worker slot, so the speedup is how many of
 //!   the clients' batches the full pool runs side by side;
+//! * `batch_interference_alone` / `batch_interference` — what a stream
+//!   of large batches costs the single requests next to it: one client
+//!   sends closed-loop single `query` requests on its own connection,
+//!   alone and then while a second connection streams 512-vector
+//!   batches, against the default server; each side keeps its best p99
+//!   of 3 fresh servers and their ratio is recorded (not gated);
 //! * `telemetry_on` / `telemetry_off` — a diverse uniform stream
 //!   against two cache-disabled servers (`--cache-entries 0`, so every
 //!   request takes the full parse → dispatch → index → render pipeline
@@ -103,6 +110,15 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Vectors per batch in the `batch_interference` stream: the batch size
+/// of the lifecycle benchmark's serving workloads.
+const INTERFERENCE_BATCH_LEN: usize = 512;
+
+/// Single queries per `batch_interference` phase: a few seconds of
+/// closed-loop traffic, long enough for a p99 that host noise does not
+/// swing.
+const INTERFERENCE_SINGLES: usize = 50_000;
 
 fn fail(msg: &str) -> ! {
     eprintln!("loadgen: FAIL: {msg}");
@@ -274,6 +290,35 @@ struct ScenarioOutcome {
     client_p99_grid_ns: u64,
 }
 
+/// Whether a successful response carries the reference answer.
+fn answer_matches(expect: &Expect, value: &Value) -> bool {
+    match expect {
+        Expect::Query(want) => value.get("id").and_then(Value::as_u64) == *want,
+        Expect::Batch(want) => value
+            .get("ids")
+            .and_then(Value::as_array)
+            .is_some_and(|ids| {
+                ids.len() == want.len() && ids.iter().zip(want).all(|(got, w)| got.as_u64() == *w)
+            }),
+        Expect::Instantiate { id, coords } => {
+            value.get("id").and_then(Value::as_u64) == *id
+                && value
+                    .get("coords")
+                    .and_then(Value::as_array)
+                    .is_some_and(|got| {
+                        got.len() == coords.len()
+                            && got.iter().zip(coords).all(|(p, &(x, y))| {
+                                p.as_array().is_some_and(|xy| {
+                                    xy.len() == 2
+                                        && xy[0].as_i64() == Some(x)
+                                        && xy[1].as_i64() == Some(y)
+                                })
+                            })
+                    })
+        }
+    }
+}
+
 fn percentile(sorted: &[u64], p: f64) -> Duration {
     if sorted.is_empty() {
         return Duration::ZERO;
@@ -283,8 +328,10 @@ fn percentile(sorted: &[u64], p: f64) -> Duration {
 }
 
 /// Drives `clients` closed-loop client threads against `addr`, each
-/// sending `requests` pipelined tagged requests drawn round-robin from
-/// `pool`, and verifies every tagged response against its pool entry.
+/// sending `requests` pipelined tagged requests, and verifies every
+/// tagged response against its pool entry. Request `k` of client `c`
+/// takes entry `(c * requests + k) % pool.len()`, so a pool of at least
+/// `clients * requests` entries gives every request its own entry.
 /// With `reload_every`, a writer connection hot-reloads the registry on
 /// that interval for the whole scenario.
 fn run_scenario(
@@ -364,39 +411,13 @@ fn run_scenario(
                     eprintln!("loadgen: client {client} refused: {line}");
                     return;
                 }
-                let matches =
-                    match &pool[pool_idx].expect {
-                        Expect::Query(want) => value.get("id").and_then(Value::as_u64) == *want,
-                        Expect::Batch(want) => value
-                            .get("ids")
-                            .and_then(Value::as_array)
-                            .is_some_and(|ids| {
-                                ids.len() == want.len()
-                                    && ids.iter().zip(want).all(|(got, w)| got.as_u64() == *w)
-                            }),
-                        Expect::Instantiate { id, coords } => {
-                            value.get("id").and_then(Value::as_u64) == *id
-                                && value.get("coords").and_then(Value::as_array).is_some_and(
-                                    |got| {
-                                        got.len() == coords.len()
-                                            && got.iter().zip(coords).all(|(p, &(x, y))| {
-                                                p.as_array().is_some_and(|xy| {
-                                                    xy.len() == 2
-                                                        && xy[0].as_i64() == Some(x)
-                                                        && xy[1].as_i64() == Some(y)
-                                                })
-                                            })
-                                    },
-                                )
-                        }
-                    };
-                if !matches {
+                if !answer_matches(&pool[pool_idx].expect, &value) {
                     *divergences += 1;
                     eprintln!("loadgen: client {client} answer diverges: {line}");
                 }
             };
             for k in 0..requests {
-                let pool_idx = (client * 7919 + k) % pool.len();
+                let pool_idx = (client * requests + k) % pool.len();
                 let line = format!("{{\"id\":{k},{}", pool[pool_idx].suffix);
                 in_flight[k] = Some((pool_idx, Instant::now()));
                 writeln!(writer, "{line}")
@@ -469,6 +490,55 @@ fn run_scenario(
         server_p99_ns,
         client_p99_grid_ns: grid.snapshot().percentile(0.99),
     }
+}
+
+/// Streams `pool`'s batches on a connection of its own, tagged and
+/// `pipeline` in flight, until `stop` is set, checking every answer. It
+/// connects before returning, so the server accepts the stream before
+/// any later connection. The thread yields (batches answered, bad
+/// answers).
+fn stream_batches(
+    addr: &str,
+    pool: &Arc<Vec<PoolEntry>>,
+    pipeline: usize,
+    stop: &Arc<AtomicBool>,
+) -> std::thread::JoinHandle<(u64, u64)> {
+    let stream = TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("batch stream: {e}")));
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let (pool, stop) = (Arc::clone(pool), Arc::clone(stop));
+    std::thread::spawn(move || {
+        let (mut sent, mut answered, mut bad) = (0usize, 0u64, 0u64);
+        let mut line = String::new();
+        loop {
+            while sent < answered as usize + pipeline.max(1) && !stop.load(Ordering::Relaxed) {
+                writeln!(writer, "{{\"id\":{sent},{}", pool[sent % pool.len()].suffix)
+                    .unwrap_or_else(|e| fail(&format!("batch stream write: {e}")));
+                sent += 1;
+            }
+            if answered as usize == sent {
+                return (answered, bad);
+            }
+            line.clear();
+            reader
+                .read_line(&mut line)
+                .unwrap_or_else(|e| fail(&format!("batch stream read: {e}")));
+            let value: Value = serde_json::parse(line.trim_end())
+                .unwrap_or_else(|e| fail(&format!("batch stream: bad JSON: {e}")));
+            let entry = value
+                .get("req")
+                .and_then(Value::as_u64)
+                .map(|req| &pool[req as usize % pool.len()]);
+            let good = value.get("ok").and_then(Value::as_bool) == Some(true)
+                && entry.is_some_and(|entry| answer_matches(&entry.expect, &value));
+            if !good {
+                bad += 1;
+                eprintln!("loadgen: batch stream answer diverges: {line}");
+            }
+            answered += 1;
+        }
+    })
 }
 
 fn outcome_value(mix: &str, clients: usize, o: &ScenarioOutcome) -> Value {
@@ -570,6 +640,7 @@ fn main() {
     client_levels.sort_unstable();
     client_levels.dedup();
     let max_clients = *client_levels.last().unwrap_or(&1);
+    let scale_requests = requests.div_ceil(12).max(20);
 
     // --- Reference structures (the answers every response is diffed
     //     against) and the request pools -------------------------------
@@ -643,8 +714,12 @@ fn main() {
         })
         .collect();
 
+    // One entry per request of the largest uniform scenario, so no two
+    // requests of any uniform scenario share a vector (see run_scenario).
+    let uniform_len =
+        (max_clients * requests).max(scale_levels.iter().max().unwrap_or(&0) * scale_requests);
     let uniform_pool: Arc<Vec<PoolEntry>> = Arc::new(
-        (0..pool_len)
+        (0..uniform_len)
             .map(|k| {
                 let (name, mps) = &structures[k % structures.len()];
                 let dims = uniform_dims(&mut rng, name, mps);
@@ -707,6 +782,34 @@ fn main() {
                             uniform_dims(&mut rng, name, mps)
                         }
                     })
+                    .collect();
+                batch_entry(name, mps, &batch)
+            })
+            .collect(),
+    );
+
+    // The batch_interference stream and the single queries beside it:
+    // fresh uniform vectors for each phase, so the singles never hit the
+    // answer cache.
+    let singles = |rng: &mut StdRng, len: usize| -> Arc<Vec<PoolEntry>> {
+        Arc::new(
+            (0..len)
+                .map(|k| {
+                    let (name, mps) = &structures[k % structures.len()];
+                    query_entry(name, mps, &uniform_dims(rng, name, mps))
+                })
+                .collect(),
+        )
+    };
+    let singles_warmup = singles(&mut rng, 2_000);
+    let singles_alone = singles(&mut rng, INTERFERENCE_SINGLES);
+    let singles_loaded = singles(&mut rng, INTERFERENCE_SINGLES);
+    let interference_batches: Arc<Vec<PoolEntry>> = Arc::new(
+        (0..8)
+            .map(|k| {
+                let (name, mps) = &structures[k % structures.len()];
+                let batch: Vec<Dims> = (0..INTERFERENCE_BATCH_LEN)
+                    .map(|_| uniform_dims(&mut rng, name, mps))
                     .collect();
                 batch_entry(name, mps, &batch)
             })
@@ -779,7 +882,6 @@ fn main() {
     // cores, a short burst each. Thread-per-connection serving falls
     // over here (memory + context-switch storm); shard event loops must
     // hold QPS roughly flat across the levels.
-    let scale_requests = requests.div_ceil(12).max(20);
     let mut conn_scaling = Map::new();
     for &clients in &scale_levels {
         let server = spawn_server(&server_bin, &dir, &["--max-connections", "0"]);
@@ -915,6 +1017,61 @@ fn main() {
     drop(server);
     let fanout_speedup = fanout_multi.qps / fanout_single.qps.max(1e-9);
 
+    // Batch interference: the singles' p99 alone, then while a second
+    // connection streams large batches, on a fresh default server per
+    // round. Each side keeps its best (lowest-p99) of 3 rounds, as the
+    // telemetry gate does; their ratio is what the batches cost the
+    // singles. The stream and the singles connect back to back, so the
+    // server's round-robin puts them on different shards whenever it
+    // has more than one.
+    let mut interference_alone: Option<ScenarioOutcome> = None;
+    let mut interference_loaded: Option<ScenarioOutcome> = None;
+    let mut interference_batches_answered = Vec::new();
+    for round in 1..=3 {
+        let server = spawn_server(&server_bin, &dir, &[]);
+        eprintln!(
+            "loadgen: batch_interference round {round}/3 ({INTERFERENCE_BATCH_LEN}-vector \
+             batches) against {}",
+            server.addr
+        );
+        let single =
+            |pool: &Arc<Vec<PoolEntry>>| run_scenario(&server.addr, 1, pool.len(), 1, pool, None);
+        let warmup = single(&singles_warmup);
+        let alone = single(&singles_alone);
+        let stop = Arc::new(AtomicBool::new(false));
+        let stream = stream_batches(&server.addr, &interference_batches, pipeline, &stop);
+        let mut loaded = single(&singles_loaded);
+        stop.store(true, Ordering::Relaxed);
+        let (batches, bad_batches) = stream.join().expect("batch stream thread");
+        if batches == 0 {
+            fail("the batch stream answered no batch while the singles ran");
+        }
+        // The server's dispatch histogram also holds the batches, which
+        // this client never sees, so the interior-vs-wire p99 check of
+        // `record` does not apply to the loaded phase.
+        loaded.server_p99_ns = 0;
+        for o in [&warmup, &alone, &loaded] {
+            total_divergences += o.divergences;
+            total_refusals += o.refusals;
+        }
+        total_divergences += bad_batches;
+        interference_batches_answered.push(batches);
+        for (best, o) in [
+            (&mut interference_alone, alone),
+            (&mut interference_loaded, loaded),
+        ] {
+            if best.as_ref().is_none_or(|b| o.p99 < b.p99) {
+                *best = Some(o);
+            }
+        }
+    }
+    let interference_alone = interference_alone.expect("three rounds ran");
+    let interference_loaded = interference_loaded.expect("three rounds ran");
+    let batch_interference =
+        interference_loaded.p99.as_secs_f64() / interference_alone.p99.as_secs_f64().max(1e-12);
+    record("batch_interference_alone", 1, &interference_alone);
+    record("batch_interference", 1, &interference_loaded);
+
     // Telemetry overhead: the same uniform stream against a default
     // server (telemetry on) and one started with `--telemetry off`,
     // best-of-3 per side — max-of-N is the standard noise filter for a
@@ -925,12 +1082,9 @@ fn main() {
     // startup, or the ratio measures boot noise instead of recording.
     let overhead_requests = requests.max(2000);
     let overhead_clients = max_clients;
-    // A pool larger than the total request count: near-zero replay hit
-    // rate, so the measured path is the full parse → dispatch → index →
-    // render pipeline. Reusing the 1024-entry uniform pool here would
-    // turn the run into mostly cached-line replay — the cheapest path
-    // the server has, which overstates the *relative* cost of recording
-    // on the traffic nobody optimizes for.
+    // A pool at least as large as the total request count, so no vector
+    // repeats (see run_scenario): the uniform pool is sized for
+    // `--requests` per client, fewer than this run sends.
     let overhead_pool: Arc<Vec<PoolEntry>> = Arc::new(
         (0..(overhead_clients * overhead_requests).next_power_of_two())
             .map(|k| {
@@ -1208,6 +1362,11 @@ fn main() {
         fanout_multi.qps, fanout_single.qps
     );
     println!(
+        "{INTERFERENCE_BATCH_LEN}-vector batch interference, {cores} core(s): single-query p99 \
+         {:?} alone vs {:?} beside the batch stream ({batch_interference:.2}x, best of 3 per side)",
+        interference_alone.p99, interference_loaded.p99
+    );
+    println!(
         "telemetry on vs off (best of 3): {:.0} vs {:.0} req/s \
          (off/on {telemetry_overhead:.3}x)",
         telemetry_on.qps, telemetry_off.qps
@@ -1258,6 +1417,26 @@ fn main() {
         ((fanout_speedup * 100.0).round() / 100.0).to_value(),
     );
     top.insert("batch_fanout", Value::Object(fanout.clone()));
+    let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+    let mut interference = Map::new();
+    interference.insert("batch_len", INTERFERENCE_BATCH_LEN.to_value());
+    interference.insert("requests", INTERFERENCE_SINGLES.to_value());
+    interference.insert("alone_p99_ns", ns(interference_alone.p99).to_value());
+    interference.insert("loaded_p99_ns", ns(interference_loaded.p99).to_value());
+    interference.insert(
+        "batches_per_round",
+        Value::Array(
+            interference_batches_answered
+                .iter()
+                .map(|n| n.to_value())
+                .collect(),
+        ),
+    );
+    interference.insert(
+        "ratio",
+        ((batch_interference * 1000.0).round() / 1000.0).to_value(),
+    );
+    top.insert("batch_interference", Value::Object(interference));
     let mut comparison = Map::new();
     comparison.insert("cached_qps", cached.qps.round().to_value());
     comparison.insert("uncached_qps", uncached.qps.round().to_value());
