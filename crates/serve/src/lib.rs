@@ -32,9 +32,10 @@
 //!   event loops (one per core by default) instead of one thread each,
 //!   so tens of thousands of idle or bursty clients cost no stacks and
 //!   no context-switch storms; there, request ids + pipelining keep
-//!   many requests in flight per connection, and heavy tagged requests
-//!   run on a [`WorkerPool`] and come back tagged and out of order.
-//!   Both pumps share one line framing. Malformed input of any
+//!   many requests in flight per connection. Every request is answered
+//!   on the thread that read it, so a large batch or a `refine` run
+//!   holds its shard until it is done. Both pumps share one admit →
+//!   answer → write path and one line framing. Malformed input of any
 //!   kind is answered with a typed error line; the server never dies on
 //!   input — a panicking handler costs one `internal` error response,
 //!   never a poisoned lock. The full wire contract is specified in
@@ -56,7 +57,6 @@ mod cache;
 mod compiled;
 #[cfg(feature = "serde")]
 pub mod frame;
-mod pool;
 #[cfg(feature = "serde")]
 mod protocol;
 #[cfg(feature = "serde")]
@@ -83,7 +83,6 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 pub use cache::{AnswerCache, CacheClass, CacheLookup, CacheStats, MissToken};
 pub use compiled::{CompiledIndex, IndexPlan, QueryScratch};
-pub use pool::WorkerPool;
 #[cfg(feature = "serde")]
 pub use protocol::{
     error_response, parse_envelope, parse_request, tagged_error_response, Envelope, EnvelopeError,

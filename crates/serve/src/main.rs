@@ -2,7 +2,7 @@
 //! line-delimited JSON protocol.
 //!
 //! ```sh
-//! mps-serve <ARTIFACT_DIR> [--tcp PORT] [--workers N] [--shards N]
+//! mps-serve <ARTIFACT_DIR> [--tcp PORT] [--shards N]
 //!           [--max-connections N] [--cache-entries N]
 //!           [--telemetry on|off] [--refine on|off] [--refine-interval SECS]
 //! mps-serve convert <IN> <OUT>
@@ -19,7 +19,9 @@
 //! chosen by the output extension.
 //! With `--tcp PORT` the same protocol is additionally served on
 //! `127.0.0.1:PORT` with pipelining, connections owned by `--shards N`
-//! shard event loops (default: one per core). If a shard cannot start,
+//! shard event loops (default: one per core). Each request is answered
+//! on the shard that read it, so a large batch or a `refine` run holds
+//! that shard until it is done. If a shard cannot start,
 //! the error goes to stderr and the process exits non-zero. `PORT` 0
 //! picks a free ephemeral port. The bound address is announced **on
 //! stdout, before any serving**, as a protocol-shaped line —
@@ -61,7 +63,7 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: mps-serve <ARTIFACT_DIR> [--tcp PORT] [--workers N] [--shards N] \
+const USAGE: &str = "usage: mps-serve <ARTIFACT_DIR> [--tcp PORT] [--shards N] \
                      [--max-connections N] [--cache-entries N]\n\
                      \x20                [--telemetry on|off] [--refine on|off] \
                      [--refine-interval SECS]\n\
@@ -128,10 +130,6 @@ fn main() -> ExitCode {
                 Some(Ok(port)) => tcp_port = Some(port),
                 _ => return usage(),
             },
-            "--workers" => match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => config.workers = n,
-                _ => return usage(),
-            },
             "--shards" => match it.next().as_deref().map(str::parse) {
                 Some(Ok(n)) => config.shards = n,
                 _ => return usage(),
@@ -194,8 +192,7 @@ fn main() -> ExitCode {
         "answer cache disabled".to_owned()
     };
     eprintln!(
-        "mps-serve: {} worker(s), {} connection shard(s), {cache_note}",
-        server.config().workers.max(1),
+        "mps-serve: {} connection shard(s), {cache_note}",
         server.config().effective_shards()
     );
 
@@ -210,7 +207,7 @@ fn main() -> ExitCode {
     }
 
     // Optional localhost TCP side: connections owned by shard event
-    // loops, all sharing the same registry snapshots, pool and cache.
+    // loops, all sharing the same registry snapshots and cache.
     let tcp_thread = match tcp_port {
         Some(port) => {
             let listener = match TcpListener::bind(("127.0.0.1", port)) {

@@ -317,7 +317,9 @@ fn select_candidate(
 
 /// Runs one refinement pass: select, re-anneal, verify, compare,
 /// persist, publish. Synchronous — the `refine` protocol request runs
-/// it on a worker-pool thread, the background worker on its own thread.
+/// it on the thread that read the request (holding that shard, or the
+/// stdin pump, for the whole pass), the background worker on its own
+/// thread.
 pub(crate) fn run_pass(server: &Server, target: Option<&str>) -> RefineOutcome {
     let stats = server.refine_stats();
     let _serialized = crate::lock_recover(&stats.run_lock);
@@ -335,10 +337,12 @@ pub(crate) fn run_pass(server: &Server, target: Option<&str>) -> RefineOutcome {
     // forever), yet any single pass is exactly reproducible from the
     // attempt counter.
     let seed = 0x5EED_0EF1u64 ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    // The anneal runs beside the serving workers, so it never takes
-    // more threads than the pool itself has: a one-worker server
-    // refines single-threaded instead of competing two-against-one.
-    let threads = server.config().workers.clamp(1, 2);
+    // At most two anneal threads: the pass runs beside live serving
+    // and must not take every core. The generated structure does not
+    // depend on the thread count.
+    let threads = std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .clamp(1, 2);
     let config = GeneratorConfig::builder()
         .outer_iterations(REFINE_OUTER)
         .inner_iterations(REFINE_INNER)

@@ -279,7 +279,7 @@ type Snapshot = Arc<HashMap<String, Arc<ServedStructure>>>;
 ///
 /// See the module docs for the snapshot discipline. All methods are
 /// `&self`; the registry is shared as `Arc<StructureRegistry>` between
-/// the stdin pump, the TCP shard loops and the worker pool.
+/// the stdin pump, the TCP shard loops and the refinement worker.
 #[derive(Debug)]
 pub struct StructureRegistry {
     dir: Option<PathBuf>,

@@ -4,11 +4,11 @@
 //! line. Two pumps carry a stream through it, one per transport:
 //! [`Server::serve`] answers any `BufRead`/`Write` pair (stdin/stdout in
 //! the binary) sequentially, in request order; [`Server::serve_tcp`]
-//! accepts connections onto a fixed pool of shared-nothing
+//! accepts connections onto a fixed set of shared-nothing
 //! [shard](crate::shard) event loops, all sharing the same registry
-//! snapshots, worker pool and [`AnswerCache`], where heavy tagged
-//! requests run on the pool and come back out of order, matched by their
-//! `req` tag. Both frame lines with the same
+//! snapshots and [`AnswerCache`]. Both pumps answer every request on
+//! the thread that read it, through one admit → complete → write path,
+//! and frame lines with the same
 //! [`RecvBuffer`](crate::shard::RecvBuffer). The server
 //! never dies on input: a malformed line yields a typed error response,
 //! and a panicking handler is caught and answered as an `internal`
@@ -19,7 +19,6 @@
 
 use crate::cache::{AnswerCache, CacheClass, CacheLookup};
 use crate::lock_recover;
-use crate::pool::WorkerPool;
 use crate::protocol::{
     id_value, ok_header, parse_envelope, tagged_error_response, ErrorKind, Request, RequestError,
 };
@@ -34,12 +33,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A tagged TCP batch of at least this many vectors takes one
-/// worker-pool slot instead of the shard thread, so it cannot
-/// head-of-line-block the requests behind it; every other batch is
-/// answered in place. Either way the batch is one `query_batch`.
-const HEAVY_BATCH_VECTORS: usize = 256;
 
 /// How many worst-request records the telemetry slow ring keeps between
 /// two `trace` drains.
@@ -60,12 +53,6 @@ fn ns_between(from: Instant, to: Instant) -> u64 {
     u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// How one rendered reply leaves a heavy (pooled) request: back to the
-/// owning shard's inbox, plus a wake of its event loop.
-/// [`Server::submit_heavy`] guarantees exactly one invocation per
-/// submitted request, panics included.
-pub(crate) type ResponseSink = Arc<dyn Fn(Reply) + Send + Sync>;
-
 /// One fully rendered response, ready for the wire: a JSON line (the
 /// writer appends the `\n`) or a self-delimiting binary frame (see
 /// [`crate::frame`]) for requests that opted in with `"encoding":"bin"`.
@@ -78,9 +65,6 @@ pub(crate) enum Reply {
 /// Construction knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker pool threads behind the heavy tagged requests of TCP
-    /// connections (clamped to at least 1).
-    pub workers: usize,
     /// Total answer-cache capacity in entries; 0 disables the cache.
     pub cache_entries: usize,
     /// Connection-shard event loops behind [`Server::serve_tcp`]: each
@@ -112,7 +96,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            workers: std::thread::available_parallelism().map_or(1, usize::from),
             cache_entries: 4096,
             shards: 0,
             max_connections: 4096,
@@ -153,37 +136,15 @@ pub(crate) enum Admitted {
     Blank,
     /// Refused at the framing layer; the rendered error response.
     Reply(String),
-    /// Accepted; dispatch it (pooled when tagged, inline otherwise).
+    /// Accepted; dispatch it.
     Run {
         id: Option<u64>,
         request: Request,
         /// Time `admit` spent parsing the line, carried so the request's
         /// slow-ring record can account for it (the parse stage
-        /// histogram was already fed on the admitting thread).
+        /// histogram was already fed at admission).
         parse_ns: u64,
     },
-}
-
-/// Telemetry context one admitted request carries into
-/// [`Server::complete`]: how long admission and the pool queue already
-/// cost it.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ReqCtx {
-    /// Parse time from `admit`, for the slow-ring total.
-    pub parse_ns: u64,
-    /// Queue wait between `submit_heavy` and the worker picking the job
-    /// up; 0 for inline requests.
-    pub pool_ns: u64,
-}
-
-impl ReqCtx {
-    /// Context for a request dispatched inline on the admitting thread.
-    pub(crate) fn inline(parse_ns: u64) -> Self {
-        Self {
-            parse_ns,
-            pool_ns: 0,
-        }
-    }
 }
 
 /// Ties the `connections_open` gauge to a connection's actual lifetime:
@@ -233,13 +194,11 @@ fn write_reply_to<W: Write>(writer: &mut W, reply: &Reply) -> io::Result<()> {
 
 /// The query-serving engine: a registry snapshot discipline on the read
 /// side, a sharded LRU [`AnswerCache`] in front of the compiled query
-/// plans, a worker pool behind heavy tagged TCP requests, and counters
-/// for the `stats` request.
+/// plans, and counters for the `stats` request.
 #[derive(Debug)]
 pub struct Server {
     registry: Arc<StructureRegistry>,
     config: ServerConfig,
-    pool: WorkerPool,
     cache: AnswerCache,
     started: Instant,
     requests: AtomicU64,
@@ -255,45 +214,24 @@ pub struct Server {
 }
 
 impl Server {
-    /// Creates a server over `registry` with `workers` pool threads
-    /// (clamped to at least 1) and the default cache configuration.
+    /// Creates a server over `registry` with the default configuration.
     #[must_use]
-    pub fn new(registry: Arc<StructureRegistry>, workers: usize) -> Self {
-        Self::with_config(
-            registry,
-            ServerConfig {
-                workers,
-                ..ServerConfig::default()
-            },
-        )
+    pub fn new(registry: Arc<StructureRegistry>) -> Self {
+        Self::with_config(registry, ServerConfig::default())
     }
 
-    /// Creates a server over `registry` with explicit worker and
-    /// answer-cache knobs.
+    /// Creates a server over `registry` with explicit knobs.
     #[must_use]
     pub fn with_config(registry: Arc<StructureRegistry>, config: ServerConfig) -> Self {
-        let shards = config.effective_shards();
         let telemetry = Arc::new(Telemetry::new(
-            shards,
-            config.workers.max(1),
+            config.effective_shards(),
             config.telemetry,
             SLOW_RING_CAPACITY,
         ));
-        // Each worker binds its telemetry lane before taking jobs, so
-        // per-lane histograms attribute pooled work to the worker that
-        // did it (lane 0 = inline, 1..=shards = shard loops, then
-        // workers — see the telemetry module docs).
-        let pool = {
-            let telemetry = Arc::clone(&telemetry);
-            WorkerPool::with_thread_init(config.workers, move |i| {
-                telemetry.bind_lane(1 + shards + i);
-            })
-        };
         let cache = AnswerCache::new(config.cache_entries, CACHE_SHARDS);
         Self {
             registry,
             config,
-            pool,
             cache,
             started: Instant::now(),
             requests: AtomicU64::new(0),
@@ -417,7 +355,7 @@ impl Server {
                 if let Request::BatchQuery { binary, .. } = &mut request {
                     *binary = false;
                 }
-                match self.complete(id, request, ReqCtx::inline(parse_ns)) {
+                match self.complete(id, request, parse_ns) {
                     Reply::Line(line) => Some(line),
                     // Unreachable — the flag was cleared above — but
                     // stay total rather than panic on a future kind.
@@ -442,9 +380,6 @@ impl Server {
             return Admitted::Blank;
         }
         self.requests.fetch_add(1, Ordering::Relaxed);
-        // Parse is timed (and its histogram fed) right here on the
-        // admitting thread — the shard loop or inline pump that actually
-        // did the work — not on whichever worker later runs the request.
         let parse_started = self.telemetry.enabled().then(Instant::now);
         let parsed = parse_envelope(line);
         let parse_ns = parse_started.map_or(0, ns_since);
@@ -510,9 +445,9 @@ impl Server {
     /// This is also where the request's stage trace is sealed: the
     /// dispatch span (which contains the index/cache/render interior
     /// spans) is measured around everything below, recorded on the
-    /// *executing* thread's telemetry lane, and the finished trace is
+    /// calling thread's telemetry lane, and the finished trace is
     /// offered to the slow-request ring.
-    pub(crate) fn complete(&self, id: Option<u64>, request: Request, ctx: ReqCtx) -> Reply {
+    pub(crate) fn complete(&self, id: Option<u64>, request: Request, parse_ns: u64) -> Reply {
         let enabled = self.telemetry.enabled();
         // Captured before dispatch consumes the request; the clone only
         // happens when telemetry is on (it feeds the slow ring).
@@ -523,8 +458,7 @@ impl Server {
             None
         };
         let mut trace = StageTrace::default();
-        trace.add(Stage::Parse, ctx.parse_ns);
-        trace.add(Stage::Pool, ctx.pool_ns);
+        trace.add(Stage::Parse, parse_ns);
         let dispatch_started = enabled.then(Instant::now);
         // A handler bug must cost one error response, not the server.
         let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(request, &mut trace)))
@@ -601,41 +535,42 @@ impl Server {
             recv.extend(chunk);
             reader.consume(n);
             while let Some(line) = recv.next_line() {
-                self.answer_in_order(&mut state, &line, &mut writer)?;
+                if let Some(reply) = self.answer(&mut state, &line) {
+                    write_reply_to(&mut writer, &reply)?;
+                }
             }
             if recv.overflowed() {
                 return write_reply_to(&mut writer, &Reply::Line(self.refuse_oversized_line()));
             }
         }
-        match recv.take_trailing() {
-            Some(line) => self.answer_in_order(&mut state, &line, &mut writer),
+        match recv
+            .take_trailing()
+            .and_then(|line| self.answer(&mut state, &line))
+        {
+            Some(reply) => write_reply_to(&mut writer, &reply),
             None => Ok(()),
         }
     }
 
-    /// Admits, answers and writes one line of [`Server::serve`]'s
-    /// stream on the calling thread.
-    fn answer_in_order<W: Write>(
-        &self,
-        state: &mut ConnState,
-        line: &str,
-        writer: &mut W,
-    ) -> io::Result<()> {
-        let reply = match self.admit(state, line) {
-            Admitted::Blank => return Ok(()),
-            Admitted::Reply(response) => Reply::Line(response),
+    /// Admits and answers one request line on the calling thread — the
+    /// one path both pumps take, so a stdin stream and a TCP connection
+    /// see the same answers in the same order. `None` for a blank line,
+    /// which gets no response.
+    pub(crate) fn answer(&self, state: &mut ConnState, line: &str) -> Option<Reply> {
+        match self.admit(state, line) {
+            Admitted::Blank => None,
+            Admitted::Reply(response) => Some(Reply::Line(response)),
             Admitted::Run {
                 id,
                 request,
                 parse_ns,
-            } => self.complete(id, request, ReqCtx::inline(parse_ns)),
-        };
-        write_reply_to(writer, &reply)
+            } => Some(self.complete(id, request, parse_ns)),
+        }
     }
 
-    /// Accepts TCP connections forever onto a fixed pool of
+    /// Accepts TCP connections forever onto a fixed set of
     /// shared-nothing shard event loops (see [`ServerConfig::shards`]),
-    /// all sharing the same registry snapshots, pool and cache.
+    /// all sharing the same registry snapshots and cache.
     /// [`ServerConfig::max_connections`] caps the open set: an accept
     /// beyond it is answered with one `overloaded` error line and
     /// closed.
@@ -690,78 +625,6 @@ impl Server {
     /// decrements it when dropped, panics included.
     pub(crate) fn track_connection(self: &Arc<Self>) -> OpenConnGuard {
         OpenConnGuard::new(Arc::clone(self))
-    }
-
-    /// Whether a tagged request deserves a worker-pool slot instead of
-    /// the shard thread: only work that takes long enough to
-    /// head-of-line-block the pipelined stream behind it. A cached
-    /// instantiate replays stored bytes in well under a microsecond, so
-    /// it stays inline (the peek takes no lock promotion and counts no
-    /// hit; the authoritative lookup happens in dispatch).
-    pub(crate) fn is_heavy(&self, request: &Request) -> bool {
-        match request {
-            Request::Instantiate { structure, dims } => {
-                !self.cache.peek(CacheClass::Instantiate, structure, dims)
-            }
-            Request::BatchQuery { dims_list, .. } => dims_list.len() >= HEAVY_BATCH_VECTORS,
-            // A triggered refinement pass re-anneals a structure —
-            // milliseconds to seconds of CPU; it must never block the
-            // pipelined stream behind it.
-            Request::Refine { run, .. } => *run,
-            _ => false,
-        }
-    }
-
-    /// Runs one heavy tagged request in one worker-pool slot through
-    /// [`Server::complete`], exactly like an inline request but off the
-    /// calling thread, guaranteeing `sink` receives the rendered reply
-    /// exactly once — even when the job panics. Every heavy kind, large
-    /// batches included, takes this one path.
-    pub(crate) fn submit_heavy(
-        self: &Arc<Self>,
-        id: u64,
-        request: Request,
-        parse_ns: u64,
-        sink: ResponseSink,
-    ) {
-        let server = Arc::clone(self);
-        let submitted = self.telemetry.enabled().then(Instant::now);
-        self.pool.execute(move || {
-            // The queue wait (submit → job start) is the pool stage of
-            // this request's trace.
-            let pool_ns = submitted.map_or(0, ns_since);
-            // Deliver from Drop so a panic anywhere in the render still
-            // produces a response (complete() already catches handler
-            // panics; this covers the rest of the job body).
-            struct DeliverOnDrop {
-                sink: ResponseSink,
-                id: u64,
-                reply: Option<Reply>,
-            }
-            impl Drop for DeliverOnDrop {
-                fn drop(&mut self) {
-                    let reply = self.reply.take().unwrap_or_else(|| {
-                        Reply::Line(tagged_error_response(
-                            Some(self.id),
-                            &RequestError::new(
-                                ErrorKind::Internal,
-                                "request handler panicked; the server keeps serving",
-                            ),
-                        ))
-                    });
-                    // A second panic while already unwinding would
-                    // abort the process; the sinks only move bytes
-                    // behind recovered locks, but stay paranoid.
-                    let _ = catch_unwind(AssertUnwindSafe(|| (self.sink)(reply)));
-                }
-            }
-            let mut delivery = DeliverOnDrop {
-                sink,
-                id,
-                reply: None,
-            };
-            delivery.reply = Some(server.complete(Some(id), request, ReqCtx { parse_ns, pool_ns }));
-        });
     }
 
     fn dispatch(&self, request: Request, trace: &mut StageTrace) -> Result<Outcome, RequestError> {
@@ -949,8 +812,6 @@ impl Server {
             .record_vectors(&structure, std::slice::from_ref(&dims), || {
                 heat_bounds(&served)
             });
-        // Computed right here: the shard loop already decided *before*
-        // dispatch whether this request deserves a pool slot.
         let index_started = enabled.then(Instant::now);
         let (id, placement) = match class {
             CacheClass::Query => (served.index().query(&dims), None),
@@ -1066,7 +927,6 @@ impl Server {
         counters.insert("reloads", self.reloads.load(Ordering::Relaxed).to_value());
         let mut map = ok_header("stats");
         map.insert("uptime_ms", self.uptime_ms().to_value());
-        map.insert("workers", self.pool.workers().to_value());
         map.insert("shards", self.config.effective_shards().to_value());
         map.insert("counters", Value::Object(counters));
         map.insert("cache", Value::Object(self.cache_map()));
@@ -1185,7 +1045,6 @@ impl Server {
         }
         registry.insert("plans", Value::Object(plans));
         map.insert("registry", Value::Object(registry));
-        map.insert("workers", self.pool.workers().to_value());
         map.insert("shards", self.config.effective_shards().to_value());
         // Whole-server per-stage distributions (merged across lanes);
         // stages nothing has recorded yet are omitted.
@@ -1198,7 +1057,7 @@ impl Server {
         }
         map.insert("stages", Value::Object(stages));
         // The same distributions split by recording lane (inline /
-        // shard-N / worker-N); idle lanes are omitted.
+        // shard-N); idle lanes are omitted.
         let mut lanes = Vec::new();
         for lane_index in 0..self.telemetry.lane_count() {
             let lane = self.telemetry.lane(lane_index);
@@ -1260,9 +1119,6 @@ impl Server {
         }
         map.insert("structures", Value::Object(structures));
         map.insert("cache", Value::Object(self.cache_map()));
-        let mut pool = Map::new();
-        pool.insert("workers", self.pool.workers().to_value());
-        map.insert("pool", Value::Object(pool));
         map.insert("connections", Value::Object(self.connections_map()));
         map.insert("refinement", Value::Object(self.refinement_map()));
         map
@@ -1364,7 +1220,7 @@ mod tests {
     }
 
     fn test_server() -> Server {
-        Server::new(test_registry(), 2)
+        Server::new(test_registry())
     }
 
     fn parse(line: &str) -> Value {
@@ -1503,7 +1359,7 @@ mod tests {
         let mps = MpsGenerator::new(&circuit, config).generate().unwrap();
         let registry = StructureRegistry::in_memory();
         registry.publish(ServedStructure::from_structure("circ01", mps));
-        let server = Server::new(Arc::new(registry), 2);
+        let server = Server::new(Arc::new(registry));
         let generation_before = server.registry().generation();
         // Concentrated traffic: every axis stays in its lowest tenth.
         let bounds = server
@@ -1623,7 +1479,6 @@ mod tests {
         let server = Arc::new(Server::with_config(
             test_registry(),
             ServerConfig {
-                workers: 1,
                 shards: 1,
                 ..ServerConfig::default()
             },
@@ -1786,7 +1641,7 @@ mod tests {
                 })
                 .collect()
         };
-        let dims_list: Vec<Dims> = (0..HEAVY_BATCH_VECTORS + 100).map(vector).collect();
+        let dims_list: Vec<Dims> = (0..356).map(vector).collect();
         let rendered: Vec<String> = dims_list
             .iter()
             .map(|dims| {
@@ -1794,7 +1649,6 @@ mod tests {
                 format!("[{}]", pairs.join(","))
             })
             .collect();
-        // Untagged, so answered in place: one pass, no pool.
         let response = parse(
             &server
                 .handle_line(&format!(
@@ -1924,7 +1778,6 @@ mod tests {
             let server = Server::with_config(
                 test_registry(),
                 ServerConfig {
-                    workers: 1,
                     telemetry,
                     ..ServerConfig::default()
                 },
@@ -2037,7 +1890,6 @@ mod tests {
         let server = Arc::new(Server::with_config(
             Arc::new(registry),
             ServerConfig {
-                workers: 1,
                 shards: 1,
                 max_connections: 2,
                 ..ServerConfig::default()
@@ -2090,7 +1942,7 @@ mod tests {
     }
 
     /// End-to-end over the sharded event loops: pipelined tagged
-    /// queries, a pooled large batch, an untagged request, and a
+    /// queries, a large batch, an untagged request, and a
     /// request line deliberately split across TCP segments — every
     /// answer must match the direct query path.
     #[test]
@@ -2109,7 +1961,6 @@ mod tests {
                 Arc::new(registry)
             },
             ServerConfig {
-                workers: 2,
                 shards: 2,
                 ..ServerConfig::default()
             },
@@ -2147,9 +1998,9 @@ mod tests {
                 dims_json(&vector(k))
             ));
         }
-        // ...then one batch big enough to take a worker-pool slot.
+        // ...then one large batch, answered in order with the rest.
         let batch_id = n;
-        let batch: Vec<Dims> = (0..HEAVY_BATCH_VECTORS + 50).map(vector).collect();
+        let batch: Vec<Dims> = (0..306).map(vector).collect();
         let batch_dims: Vec<String> = batch.iter().map(dims_json).collect();
         burst.push_str(&format!(
             "{{\"id\":{batch_id},\"kind\":\"batch_query\",\"structure\":\"circ01\",\
@@ -2201,7 +2052,7 @@ mod tests {
         assert_eq!(
             answered[&batch_id].get("ids"),
             Some(&Value::Array(expected_batch)),
-            "the pooled batch must answer ids in request order"
+            "the batch must answer ids in request order"
         );
         // An untagged connection still gets in-order inline answers.
         let mut plain = TcpStream::connect(addr).unwrap();
@@ -2268,11 +2119,11 @@ mod tests {
         assert_eq!(value.get("ok").and_then(Value::as_bool), Some(true));
     }
 
-    /// A binary batch big enough to take a worker-pool slot comes back
-    /// as one frame through the shard completion path, with ids in
-    /// request order — exercised end-to-end over TCP.
+    /// A large binary batch comes back as one frame from the shard that
+    /// read it, with ids in request order — exercised end-to-end over
+    /// TCP.
     #[test]
-    fn large_binary_batch_takes_a_pool_slot_and_frames_over_tcp() {
+    fn large_binary_batch_frames_over_tcp() {
         let server = Arc::new(Server::with_config(
             {
                 let circuit = benchmarks::circ01();
@@ -2287,7 +2138,6 @@ mod tests {
                 Arc::new(registry)
             },
             ServerConfig {
-                workers: 2,
                 shards: 1,
                 ..ServerConfig::default()
             },
@@ -2305,7 +2155,7 @@ mod tests {
                 })
                 .collect()
         };
-        let batch: Vec<Dims> = (0..HEAVY_BATCH_VECTORS + 30).map(vector).collect();
+        let batch: Vec<Dims> = (0..286).map(vector).collect();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let accept_server = Arc::clone(&server);
@@ -2344,19 +2194,18 @@ mod tests {
         assert_eq!(
             ids,
             served.structure().query_batch(&batch),
-            "the pooled frame must carry ids in request order"
+            "the frame must carry ids in request order"
         );
     }
 
     /// A large tagged batch runs through `complete` like every other
     /// request: it is one `dispatch` sample, and its slow-ring record
-    /// carries its tag and the pool queue wait next to the dispatch span.
+    /// carries its tag and its dispatch span.
     #[test]
     fn large_tagged_batch_is_dispatched_and_traced_like_any_request() {
         let server = Arc::new(Server::with_config(
             test_registry(),
             ServerConfig {
-                workers: 2,
                 shards: 1,
                 ..ServerConfig::default()
             },
@@ -2374,7 +2223,7 @@ mod tests {
                 })
                 .collect()
         };
-        let batch: Vec<Dims> = (0..HEAVY_BATCH_VECTORS + 20).map(vector).collect();
+        let batch: Vec<Dims> = (0..276).map(vector).collect();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let accept_server = Arc::clone(&server);
@@ -2436,15 +2285,13 @@ mod tests {
             .unwrap_or_else(|| panic!("the batch must reach the slow ring: {entries:?}"));
         assert_eq!(entry.get("req").and_then(Value::as_u64), Some(batch_id));
         let stages = entry.get("stages").and_then(Value::as_object).unwrap();
-        for stage in ["pool", "dispatch"] {
-            assert!(
-                stages
-                    .get(stage)
-                    .and_then(Value::as_u64)
-                    .is_some_and(|ns| ns > 0),
-                "the batch trace lacks its `{stage}` span: {entry:?}"
-            );
-        }
+        assert!(
+            stages
+                .get("dispatch")
+                .and_then(Value::as_u64)
+                .is_some_and(|ns| ns > 0),
+            "the batch trace lacks its `dispatch` span: {entry:?}"
+        );
     }
 
     #[test]
@@ -2626,7 +2473,6 @@ mod tests {
         let server = Server::with_config(
             test_registry(),
             ServerConfig {
-                workers: 2,
                 telemetry: false,
                 ..ServerConfig::default()
             },

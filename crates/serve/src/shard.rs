@@ -9,22 +9,18 @@
 //! in a [`RecvBuffer`] until their newline arrives (the stdin pump,
 //! [`Server::serve`], frames its lines with the same buffer), and
 //! responses queue in a [`SendBuffer`] that drains as far as the socket
-//! accepts and parks the rest behind write-readiness. Cheap requests
-//! are answered inline on the shard thread; heavy tagged requests leave
-//! through [`Server::submit_heavy`] and come back as completions
-//! through the shard's inbox plus a [`Poller::wake`] — the shard thread
-//! itself never blocks on anything but the poller.
+//! accepts and parks the rest behind write-readiness. Every request is
+//! answered on the shard thread that read it, through
+//! [`Server::answer`] — the same path the stdin pump takes — and the
+//! shard thread never blocks on anything but the poller.
 //!
-//! Ordering: untagged requests (and framing errors) are answered in
-//! arrival order because they never leave the shard thread; tagged
-//! heavy responses come back out of order, matched by `req`. A large
-//! tagged batch is one heavy request: one worker slot, one response,
-//! `ids` in element order.
+//! Ordering: every connection's responses leave in arrival order,
+//! tagged or not. The flip side is that a request holds its shard until
+//! it is answered: a large batch or a `refine` run delays every other
+//! connection that shard owns.
 
 use crate::lock_recover;
-use crate::server::{
-    ns_since, Admitted, ConnState, OpenConnGuard, Reply, ReqCtx, ResponseSink, Server,
-};
+use crate::server::{ns_since, ConnState, OpenConnGuard, Reply, Server};
 use crate::telemetry::Stage;
 use netpoll::{raw_fd, Interest, Poller, WAKE_TOKEN};
 use std::collections::HashMap;
@@ -51,7 +47,7 @@ pub(crate) struct ShardSet {
 
 impl ShardSet {
     /// Spawns `count` shard threads (clamped to at least 1), each with
-    /// its own poller and inbox.
+    /// its own poller and join queue.
     ///
     /// # Errors
     ///
@@ -62,7 +58,7 @@ impl ShardSet {
         for i in 0..count {
             let shard = Arc::new(Shard {
                 poller: Poller::new()?,
-                inbox: Mutex::new(Inbox::default()),
+                joins: Mutex::new(Vec::new()),
             });
             let server = Arc::clone(server);
             let loop_shard = Arc::clone(&shard);
@@ -86,26 +82,17 @@ impl ShardSet {
     pub(crate) fn assign(&self, stream: TcpStream, guard: OpenConnGuard) {
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let shard = &self.shards[i];
-        lock_recover(&shard.inbox).joins.push((stream, guard));
+        lock_recover(&shard.joins).push((stream, guard));
         let _ = shard.poller.wake();
     }
 }
 
-/// One shard: a poller the loop blocks on, and the inbox other threads
-/// feed (new connections from the acceptor, completions from pool
-/// workers), always paired with a [`Poller::wake`].
+/// One shard: a poller the loop blocks on, and the connections the
+/// acceptor handed over but the loop does not own yet, each handoff
+/// paired with a [`Poller::wake`].
 struct Shard {
     poller: Poller,
-    inbox: Mutex<Inbox>,
-}
-
-#[derive(Default)]
-struct Inbox {
-    /// Connections accepted but not yet owned by the shard loop.
-    joins: Vec<(TcpStream, OpenConnGuard)>,
-    /// Rendered replies (JSON lines or binary frames) from pooled heavy
-    /// requests, by token.
-    completions: Vec<(usize, Reply)>,
+    joins: Mutex<Vec<(TcpStream, OpenConnGuard)>>,
 }
 
 /// What [`Conn::finalize`] decided about the connection's future.
@@ -123,8 +110,6 @@ struct Conn {
     state: ConnState,
     recv: RecvBuffer,
     out: SendBuffer,
-    /// Heavy responses submitted to the pool but not yet delivered.
-    pending: usize,
     /// The read side is finished (EOF, read error, or oversized line).
     eof: bool,
     /// The interest currently registered with the poller, if any.
@@ -140,7 +125,6 @@ impl Conn {
             state: ConnState::default(),
             recv: RecvBuffer::default(),
             out: SendBuffer::default(),
-            pending: 0,
             eof: false,
             registered: None,
             _guard: guard,
@@ -149,7 +133,7 @@ impl Conn {
 
     /// Reads until the socket would block (or ends), answering every
     /// complete line as it appears.
-    fn drain_socket(&mut self, server: &Arc<Server>, shard: &Arc<Shard>, token: usize) {
+    fn drain_socket(&mut self, server: &Server) {
         let mut scratch = [0u8; READ_CHUNK];
         // One recv-stage sample per drain: the summed time the read()
         // syscalls themselves took, not the inline request handling
@@ -169,7 +153,7 @@ impl Conn {
                 Ok(n) => {
                     self.recv.extend(&scratch[..n]);
                     while let Some(line) = self.recv.next_line() {
-                        self.process_line(server, shard, token, &line);
+                        self.answer(server, &line);
                     }
                     if self.recv.overflowed() {
                         self.out.push_line(&server.refuse_oversized_line());
@@ -188,52 +172,24 @@ impl Conn {
             // A final line without a trailing newline still gets its
             // answer, exactly as on the stdin pump.
             if let Some(line) = self.recv.take_trailing() {
-                self.process_line(server, shard, token, &line);
+                self.answer(server, &line);
             }
         }
     }
 
-    /// Admits and answers one request line: inline on this shard thread
-    /// for everything cheap (and for untagged requests, whose responses
-    /// must stay in arrival order), through the worker pool for heavy
-    /// tagged work.
-    fn process_line(&mut self, server: &Arc<Server>, shard: &Arc<Shard>, token: usize, line: &str) {
-        match server.admit(&mut self.state, line) {
-            Admitted::Blank => {}
-            Admitted::Reply(response) => self.out.push_line(&response),
-            Admitted::Run {
-                id: Some(id),
-                request,
-                parse_ns,
-            } if server.is_heavy(&request) => {
-                self.pending += 1;
-                let shard = Arc::clone(shard);
-                let sink: ResponseSink = Arc::new(move |reply: Reply| {
-                    lock_recover(&shard.inbox).completions.push((token, reply));
-                    let _ = shard.poller.wake();
-                });
-                server.submit_heavy(id, request, parse_ns, sink);
-            }
-            Admitted::Run {
-                id,
-                request,
-                parse_ns,
-            } => {
-                let reply = server.complete(id, request, ReqCtx::inline(parse_ns));
-                self.out.push_reply(&reply);
-            }
+    /// Admits and answers one request line, queueing the reply.
+    fn answer(&mut self, server: &Server, line: &str) {
+        if let Some(reply) = server.answer(&mut self.state, line) {
+            self.out.push_reply(&reply);
         }
     }
 
     /// Settles the connection after any activity: flushes as much output
     /// as the socket accepts, decides whether the connection is done,
     /// and keeps the poller registration in sync with what the
-    /// connection actually waits for. A connection with nothing to read
-    /// (EOF) and nothing to write but responses still in the pool is
-    /// deregistered entirely — the completion wake-up is its only next
-    /// event, and a level-triggered EOF socket would otherwise spin the
-    /// loop hot.
-    fn finalize(&mut self, server: &Arc<Server>, poller: &Poller, token: usize) -> ConnFate {
+    /// connection actually waits for. A connection at EOF waits only to
+    /// write, so a level-triggered EOF socket never spins the loop.
+    fn finalize(&mut self, server: &Server, poller: &Poller, token: usize) -> ConnFate {
         let had_output = !self.out.is_empty();
         let t = (had_output && server.telemetry().enabled()).then(Instant::now);
         let flushed = self.out.flush_to(&mut self.stream);
@@ -243,56 +199,45 @@ impl Conn {
         if flushed.is_err() {
             return ConnFate::Closed;
         }
-        if self.eof && self.out.is_empty() && self.pending == 0 {
-            return ConnFate::Closed;
-        }
-        let desired = match (!self.eof, !self.out.is_empty()) {
-            (true, true) => Some(Interest::BOTH),
-            (true, false) => Some(Interest::READABLE),
-            (false, true) => Some(Interest::WRITABLE),
-            (false, false) => None, // waiting only on pooled completions
+        let desired = match (self.eof, self.out.is_empty()) {
+            (true, true) => return ConnFate::Closed,
+            (true, false) => Interest::WRITABLE,
+            (false, true) => Interest::READABLE,
+            (false, false) => Interest::BOTH,
         };
-        if desired == self.registered {
+        if self.registered == Some(desired) {
             return ConnFate::Alive;
         }
         let fd = raw_fd(&self.stream);
-        let outcome = match (self.registered, desired) {
-            (None, Some(interest)) => poller.register(fd, token, interest),
-            (Some(_), Some(interest)) => poller.reregister(fd, token, interest),
-            (Some(_), None) => poller.deregister(fd),
-            (None, None) => Ok(()),
+        let outcome = match self.registered {
+            None => poller.register(fd, token, desired),
+            Some(_) => poller.reregister(fd, token, desired),
         };
         if outcome.is_err() {
             return ConnFate::Closed;
         }
-        self.registered = desired;
+        self.registered = Some(desired);
         ConnFate::Alive
     }
 }
 
-/// The heart of one shard: block on the poller, absorb whatever the
-/// inbox brought (new connections, completions), then service readiness
-/// per connection. Every iteration ends with each touched connection
+/// The heart of one shard: block on the poller, take over the
+/// connections the acceptor handed in, then service readiness per
+/// connection. Every iteration ends with each touched connection
 /// either settled (buffers flushed as far as the socket allows,
 /// registration matching its remaining interests) or closed.
-fn shard_loop(server: &Arc<Server>, shard: &Arc<Shard>) {
+fn shard_loop(server: &Server, shard: &Shard) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_token: usize = 0;
     let mut events = Vec::new();
     loop {
         if shard.poller.wait(&mut events, None).is_err() {
             // Pathological (the poller fd itself failed). Back off so a
-            // persistent error cannot spin the core; the inbox drain
+            // persistent error cannot spin the core; the join drain
             // below still makes progress.
             std::thread::sleep(Duration::from_millis(10));
         }
-        let (joins, completions) = {
-            let mut inbox = lock_recover(&shard.inbox);
-            (
-                std::mem::take(&mut inbox.joins),
-                std::mem::take(&mut inbox.completions),
-            )
-        };
+        let joins = std::mem::take(&mut *lock_recover(&shard.joins));
         for (stream, guard) in joins {
             if stream.set_nonblocking(true).is_err() {
                 continue; // guard drops: the admission slot frees
@@ -310,21 +255,9 @@ fn shard_loop(server: &Arc<Server>, shard: &Arc<Shard>) {
             // surfaces it on the next wait either way, but draining now
             // answers the common connect-send-immediately case without
             // an extra loop turn.
-            conn.drain_socket(server, shard, token);
+            conn.drain_socket(server);
             if conn.finalize(server, &shard.poller, token) == ConnFate::Alive {
                 conns.insert(token, conn);
-            }
-        }
-        for (token, reply) in completions {
-            // A completion for a connection that died while its request
-            // was in the pool is discarded: there is no one to answer.
-            let Some(conn) = conns.get_mut(&token) else {
-                continue;
-            };
-            conn.pending -= 1;
-            conn.out.push_reply(&reply);
-            if conn.finalize(server, &shard.poller, token) == ConnFate::Closed {
-                remove_conn(&shard.poller, &mut conns, token);
             }
         }
         for &event in &events {
@@ -332,7 +265,7 @@ fn shard_loop(server: &Arc<Server>, shard: &Arc<Shard>) {
                 continue; // closed earlier this iteration
             };
             if event.readable {
-                conn.drain_socket(server, shard, event.token);
+                conn.drain_socket(server);
             } else if event.hangup {
                 // Pure error report (no data): the next read would only
                 // error; stop reading and let finalize settle the rest.

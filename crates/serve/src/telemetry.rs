@@ -18,14 +18,13 @@
 //!   histograms roll up into whole-server percentiles.
 //! * **Lanes** separate *who recorded*: lane 0 is the inline lane (the
 //!   stdin pump and any other unbound caller, such as
-//!   `Server::handle_line`), lanes `1..=shards` belong to the TCP shard
-//!   event loops, and the lanes after that to the worker-pool threads.
-//!   A thread binds its lane once ([`Telemetry::bind_lane`]) and every
+//!   `Server::handle_line`), and lanes `1..=shards` belong to the TCP
+//!   shard event loops. A thread binds its lane once ([`Telemetry::bind_lane`]) and every
 //!   later record on that thread lands there — no lookup, no contention
 //!   between lanes.
 //! * **Stages** ([`Stage`]) split one request's wall time along the
-//!   serving path: `recv → parse → dispatch → index/cache/pool →
-//!   render → write`. `recv`/`write` are per-socket-drain spans measured
+//!   serving path: `recv → parse → dispatch → index/cache → render →
+//!   write`. `recv`/`write` are per-socket-drain spans measured
 //!   by the shard event loops; the rest are per-request.
 //! * **Per-structure records** keep, under one name-keyed map, the
 //!   tally of answered vectors and the dimension heat grid. The tally is
@@ -59,7 +58,7 @@ use std::sync::{Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Number of per-request pipeline stages ([`Stage`] variants).
-pub const STAGE_COUNT: usize = 8;
+pub const STAGE_COUNT: usize = 7;
 
 /// Histogram bucket count: values 0–3 exactly, then 2 sub-buckets per
 /// octave up to `u64::MAX` (4 + 62 octaves × 2).
@@ -72,8 +71,7 @@ pub const HEAT_BINS: usize = 8;
 /// shard event loops around socket reads/writes (per drain, spanning
 /// however many requests a readiness event carried); `Parse` by
 /// admission; `Dispatch` wraps one request's handling, with `Index`,
-/// `Cache` and `Render` as its interior spans; `Pool` is the queue wait
-/// between submitting a heavy request and a worker picking it up.
+/// `Cache` and `Render` as its interior spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
@@ -87,12 +85,10 @@ pub enum Stage {
     Index = 3,
     /// Answer-cache lookup.
     Cache = 4,
-    /// Worker-pool queue wait (submit → job start).
-    Pool = 5,
     /// Response rendering (JSON line or binary frame encoding).
-    Render = 6,
+    Render = 5,
     /// Socket write syscalls (shard event loops only).
-    Write = 7,
+    Write = 6,
 }
 
 impl Stage {
@@ -103,7 +99,6 @@ impl Stage {
         Stage::Dispatch,
         Stage::Index,
         Stage::Cache,
-        Stage::Pool,
         Stage::Render,
         Stage::Write,
     ];
@@ -117,7 +112,6 @@ impl Stage {
             Stage::Dispatch => "dispatch",
             Stage::Index => "index",
             Stage::Cache => "cache",
-            Stage::Pool => "pool",
             Stage::Render => "render",
             Stage::Write => "write",
         }
@@ -312,11 +306,11 @@ impl StageTrace {
         self.ns[stage as usize]
     }
 
-    /// The request's total wall time: parse + pool wait + dispatch
-    /// (index/cache/render are interior to dispatch and not re-added).
+    /// The request's total wall time: parse + dispatch (index/cache/
+    /// render are interior to dispatch and not re-added).
     #[must_use]
     pub fn total_ns(&self) -> u64 {
-        self.get(Stage::Parse) + self.get(Stage::Pool) + self.get(Stage::Dispatch)
+        self.get(Stage::Parse) + self.get(Stage::Dispatch)
     }
 }
 
@@ -351,7 +345,7 @@ pub struct TraceEntry {
     pub structure: Option<String>,
     /// The pipelining tag, when the request carried one.
     pub req: Option<u64>,
-    /// Total request time (parse + pool wait + dispatch).
+    /// Total request time (parse + dispatch).
     pub total_ns: u64,
     /// Per-stage nanoseconds, indexed by [`Stage`].
     pub stages: [u64; STAGE_COUNT],
@@ -566,10 +560,8 @@ thread_local! {
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
-    /// Lane 0 = inline; `1..=shards` = shard event loops;
-    /// `shards+1..` = pool workers.
+    /// Lane 0 = inline; `1..=shards` = shard event loops.
     lanes: Vec<LaneStats>,
-    shards: usize,
     // BTreeMap, not HashMap: the keys are a handful of short structure
     // names, and 3-4 string compares beat SipHashing the name on every
     // answered vector.
@@ -579,19 +571,15 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// A telemetry hub for `shards` shard lanes and `workers` worker
-    /// lanes (plus the inline lane). With `enabled` false every
-    /// recording call but the per-structure tally is a cheap no-op and
-    /// `metrics` reports `"enabled":false`.
+    /// A telemetry hub for `shards` shard lanes (plus the inline lane).
+    /// With `enabled` false every recording call but the per-structure
+    /// tally is a cheap no-op and `metrics` reports `"enabled":false`.
     #[must_use]
-    pub fn new(shards: usize, workers: usize, enabled: bool, slow_capacity: usize) -> Self {
-        let lanes = (0..1 + shards + workers)
-            .map(|_| LaneStats::new())
-            .collect();
+    pub fn new(shards: usize, enabled: bool, slow_capacity: usize) -> Self {
+        let lanes = (0..1 + shards).map(|_| LaneStats::new()).collect();
         Self {
             enabled,
             lanes,
-            shards,
             structures: RwLock::new(BTreeMap::new()),
             slow: SlowRing::new(slow_capacity),
             started: Instant::now(),
@@ -611,9 +599,8 @@ impl Telemetry {
     }
 
     /// Binds the calling thread to `lane` for every later record on
-    /// this thread. Shard loops bind `1 + shard_index`; pool workers
-    /// bind `1 + shards + worker_index`; unbound threads record on the
-    /// inline lane 0.
+    /// this thread. Shard loops bind `1 + shard_index`; unbound threads
+    /// record on the inline lane 0.
     pub fn bind_lane(&self, lane: usize) {
         LANE.with(|l| l.set(lane));
     }
@@ -629,14 +616,12 @@ impl Telemetry {
     pub fn lane_name(&self, lane: usize) -> String {
         if lane == 0 {
             "inline".to_owned()
-        } else if lane <= self.shards {
-            format!("shard-{}", lane - 1)
         } else {
-            format!("worker-{}", lane - 1 - self.shards)
+            format!("shard-{}", lane - 1)
         }
     }
 
-    /// How many lanes exist (inline + shards + workers).
+    /// How many lanes exist (inline + shards).
     #[must_use]
     pub fn lane_count(&self) -> usize {
         self.lanes.len()
@@ -658,8 +643,8 @@ impl Telemetry {
 
     /// Records a completed request's stage spans into the calling
     /// thread's lane: `Dispatch` always (it is the request's presence in
-    /// the latency distribution), interior and queue stages only where
-    /// time was actually spent. `Parse` is recorded at admission (on the
+    /// the latency distribution), interior stages only where time was
+    /// actually spent. `Parse` is recorded at admission (on the
     /// admitting thread) and deliberately skipped here.
     pub fn record_completion(&self, trace: &StageTrace) {
         if !self.enabled {
@@ -668,7 +653,7 @@ impl Telemetry {
         let lane = self.current_lane();
         lane.stage(Stage::Dispatch)
             .record(trace.get(Stage::Dispatch));
-        for stage in [Stage::Index, Stage::Cache, Stage::Pool, Stage::Render] {
+        for stage in [Stage::Index, Stage::Cache, Stage::Render] {
             let ns = trace.get(stage);
             if ns > 0 {
                 lane.stage(stage).record(ns);
@@ -996,7 +981,7 @@ mod tests {
 
     #[test]
     fn structure_records_sum_exactly_across_threads() {
-        let telemetry = Telemetry::new(1, 1, true, 8);
+        let telemetry = Telemetry::new(1, true, 8);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let telemetry = &telemetry;
@@ -1024,7 +1009,7 @@ mod tests {
     /// it, and both recording and reading recover its data.
     #[test]
     fn structure_records_recover_from_a_poisoned_lock() {
-        let telemetry = Telemetry::new(1, 1, true, 8);
+        let telemetry = Telemetry::new(1, true, 8);
         telemetry.record_vectors("alpha", &[[(0, 0)]], || vec![(0, 1, 0, 1)]);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = telemetry.structures.write().unwrap();
@@ -1038,16 +1023,15 @@ mod tests {
 
     #[test]
     fn lanes_separate_and_merge() {
-        let telemetry = Telemetry::new(2, 2, true, 8);
-        assert_eq!(telemetry.lane_count(), 5);
+        let telemetry = Telemetry::new(3, true, 8);
+        assert_eq!(telemetry.lane_count(), 4);
         assert_eq!(telemetry.lane_name(0), "inline");
         assert_eq!(telemetry.lane_name(2), "shard-1");
-        assert_eq!(telemetry.lane_name(4), "worker-1");
         telemetry.record(Stage::Dispatch, 100);
         let t = &telemetry;
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                t.bind_lane(3); // worker-0
+                t.bind_lane(3); // shard-2
                 t.record(Stage::Dispatch, 1_000);
                 t.record(Stage::Dispatch, 2_000);
             });
@@ -1067,7 +1051,7 @@ mod tests {
 
     #[test]
     fn disabled_telemetry_records_nothing() {
-        let telemetry = Telemetry::new(1, 1, false, 8);
+        let telemetry = Telemetry::new(1, false, 8);
         telemetry.record(Stage::Dispatch, 100);
         let mut trace = StageTrace::default();
         trace.add(Stage::Dispatch, 1_000_000);

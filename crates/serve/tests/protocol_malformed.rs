@@ -22,7 +22,7 @@ fn test_server() -> Server {
     let mps = MpsGenerator::new(&circuit, config).generate().unwrap();
     let registry = StructureRegistry::in_memory();
     registry.publish(ServedStructure::from_structure("circ01", mps));
-    Server::new(Arc::new(registry), 1)
+    Server::new(Arc::new(registry))
 }
 
 /// Asserts the response line is `{"ok":false}` with the expected typed

@@ -89,8 +89,6 @@ fn stdin_stream_answers_match_direct_queries() {
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_mps-serve"))
         .arg(&dir)
-        .arg("--workers")
-        .arg("2")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -256,7 +254,7 @@ fn tcp_listener_serves_the_same_protocol() {
 fn tcp_pipelined_burst_answers_every_tagged_request() {
     let dir = artifact_dir("pipeline");
     let mps = generate_artifact(&dir);
-    let (child, addr) = spawn_tcp_server(&dir, &["--workers", "3"]);
+    let (child, addr) = spawn_tcp_server(&dir, &[]);
 
     let stream = TcpStream::connect(&*addr).expect("connect to mps-serve");
     let _ = stream.set_nodelay(true);

@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 4. The wire protocol (what `mps-serve` speaks) ---------------
-    let server = Server::new(Arc::clone(&registry), 2);
+    let server = Server::new(Arc::clone(&registry));
     let dims = circuit.min_dims();
     let pairs: Vec<String> = dims.iter().map(|(w, h)| format!("[{w},{h}]")).collect();
     for line in [

@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // query plan — exactly what the mps-serve binary does at startup.
     let registry = Arc::new(ws.serve_registry()?);
     println!("registry serves: {:?}", registry.names());
-    let server = Server::new(Arc::clone(&registry), 2);
+    let server = Server::new(Arc::clone(&registry));
     let pairs: Vec<String> = sizing.iter().map(|(w, h)| format!("[{w},{h}]")).collect();
     let line = format!(
         r#"{{"kind":"query","structure":"circ02","dims":[{}]}}"#,

@@ -370,23 +370,21 @@ impl Workspace {
     }
 
     /// Opens the workspace directory as a ready-to-pump [`Server`]:
-    /// [`Workspace::serve_registry`] plus the serving knobs — worker
-    /// pool size, the sharded LRU answer cache (`cache_entries`; 0
-    /// disables caching) and the telemetry layer (`telemetry`, default
-    /// on: per-stage latency histograms, query-dimension heatmaps and
-    /// the slow-request ring behind the `metrics`/`trace` protocol
-    /// requests). The returned server
-    /// speaks the full `mps-serve` protocol (`reload` hot-swaps with
-    /// all-or-nothing cache invalidation) over any `BufRead`/`Write`
-    /// pair, in request order, or a TCP listener, with pipelined tagged
-    /// requests.
+    /// [`Workspace::serve_registry`] plus the serving knobs — the
+    /// sharded LRU answer cache (`cache_entries`; 0 disables caching)
+    /// and the telemetry layer (`telemetry`, default on: per-stage
+    /// latency histograms, query-dimension heatmaps and the slow-request
+    /// ring behind the `metrics`/`trace` protocol requests). The
+    /// returned server speaks the full `mps-serve` protocol (`reload`
+    /// hot-swaps with all-or-nothing cache invalidation) over any
+    /// `BufRead`/`Write` pair, in request order, or a TCP listener, with
+    /// pipelined tagged requests.
     ///
     /// ```no_run
     /// # fn main() -> Result<(), analog_mps::api::MpsError> {
     /// use analog_mps::api::{ServerConfig, Workspace};
     /// let ws = Workspace::open("out/structures")?;
     /// let server = std::sync::Arc::new(ws.serve_server(ServerConfig {
-    ///     workers: 4,
     ///     cache_entries: 65_536,
     ///     ..ServerConfig::default()
     /// })?);
@@ -551,7 +549,6 @@ mod tests {
             .unwrap();
         let server = ws
             .serve_server(ServerConfig {
-                workers: 1,
                 cache_entries: 32,
                 ..ServerConfig::default()
             })
@@ -570,7 +567,6 @@ mod tests {
         // cache_entries 0 turns the cache off entirely.
         let uncached = ws
             .serve_server(ServerConfig {
-                workers: 1,
                 cache_entries: 0,
                 ..ServerConfig::default()
             })

@@ -49,7 +49,6 @@ fn concurrent_clients_with_hot_reload_never_diverge() {
 
     let server = Arc::new(
         ws.serve_server(ServerConfig {
-            workers: 3,
             cache_entries: 512,
             ..ServerConfig::default()
         })
@@ -287,7 +286,6 @@ fn two_hundred_fifty_six_clients_never_diverge() {
 
     let server = Arc::new(
         ws.serve_server(ServerConfig {
-            workers: 2,
             cache_entries: 1024,
             shards: 2,
             ..ServerConfig::default()
@@ -451,4 +449,155 @@ fn server_requests_done(addr: std::net::SocketAddr) -> u64 {
             .unwrap_or(0)
     };
     counter("queries") + counter("instantiations")
+}
+
+/// Every request is answered on the shard that read it: one tagged
+/// connection pipelines an uncached `instantiate`, a 512-vector
+/// `batch_query`, a `refine` run and a `query`, and each answer equals
+/// the [`Workspace`] reference. The telemetry carries no trace of a
+/// worker pool: no `pool` stage, no `worker-*` lane, no `workers` field.
+#[test]
+fn heavy_tagged_requests_answer_inline_and_match_the_workspace() {
+    let dir = std::env::temp_dir().join(format!("mps_serve_inline_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut ws = Workspace::open(&dir).unwrap();
+    let circuit = benchmarks::circ01();
+    let config = GeneratorConfig::builder()
+        .outer_iterations(30)
+        .inner_iterations(30)
+        .seed(0xC2)
+        .build();
+    ws.generate_or_load("circ01", &circuit, config).unwrap();
+    let server = Arc::new(
+        ws.serve_server(ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap(),
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve_tcp(listener));
+    }
+
+    let bounds = circuit.dim_bounds();
+    let mut rng = StdRng::seed_from_u64(0x1A1);
+    let mut uniform = || -> Dims {
+        bounds
+            .iter()
+            .map(|b| {
+                (
+                    rng.random_range(b.w.lo()..=b.w.hi()),
+                    rng.random_range(b.h.lo()..=b.h.hi()),
+                )
+            })
+            .collect()
+    };
+    let instantiate_dims = uniform();
+    // Uniform traffic spreads over the whole heat grid, so the refine
+    // run finds no concentrated region and leaves the structure as is.
+    let batch: Vec<Dims> = (0..512).map(|_| uniform()).collect();
+    let query_dims = uniform();
+    let batch_json: Vec<String> = batch.iter().map(dims_json).collect();
+    let requests = [
+        format!(
+            r#"{{"id":1,"kind":"instantiate","structure":"circ01","dims":{}}}"#,
+            dims_json(&instantiate_dims)
+        ),
+        format!(
+            r#"{{"id":2,"kind":"batch_query","structure":"circ01","dims_list":[{}]}}"#,
+            batch_json.join(",")
+        ),
+        r#"{"id":3,"kind":"refine"}"#.to_owned(),
+        format!(
+            r#"{{"id":4,"kind":"query","structure":"circ01","dims":{}}}"#,
+            dims_json(&query_dims)
+        ),
+        r#"{"id":5,"kind":"metrics"}"#.to_owned(),
+        r#"{"id":6,"kind":"stats"}"#.to_owned(),
+    ];
+    let stream = TcpStream::connect(addr).unwrap();
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writer
+        .write_all(format!("{}\n", requests.join("\n")).as_bytes())
+        .unwrap();
+    // Matched by `req`, as the protocol asks of every client.
+    let mut answers = std::collections::HashMap::new();
+    for _ in 0..requests.len() {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "early EOF");
+        let value: Value = serde_json::parse(line.trim_end()).unwrap();
+        assert_eq!(
+            value.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "refused: {line}"
+        );
+        let req = value.get("req").and_then(Value::as_u64).expect("tagged");
+        answers.insert(req, value);
+    }
+    let id_of = |id: Option<analog_mps::mps::PlacementId>| id.map(|id| u64::from(id.0));
+
+    let placement = ws.instantiate("circ01", &instantiate_dims).unwrap();
+    let instantiated = &answers[&1];
+    assert_eq!(
+        instantiated.get("id").and_then(Value::as_u64),
+        id_of(ws.query("circ01", &instantiate_dims).unwrap())
+    );
+    let coords: Vec<(i64, i64)> = instantiated
+        .get("coords")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|p| {
+            let xy = p.as_array().unwrap();
+            (xy[0].as_i64().unwrap(), xy[1].as_i64().unwrap())
+        })
+        .collect();
+    let expected: Vec<(i64, i64)> = placement.coords().iter().map(|p| (p.x, p.y)).collect();
+    assert_eq!(coords, expected, "instantiate diverges from the workspace");
+
+    let ids: Vec<Option<u64>> = answers[&2]
+        .get("ids")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(Value::as_u64)
+        .collect();
+    let expected: Vec<Option<u64>> = ws
+        .query_batch("circ01", &batch)
+        .unwrap()
+        .into_iter()
+        .map(id_of)
+        .collect();
+    assert_eq!(ids, expected, "batch diverges from the workspace");
+
+    let refined = &answers[&3];
+    assert_eq!(refined.get("ran").and_then(Value::as_bool), Some(true));
+    assert_eq!(
+        refined.get("outcome").and_then(Value::as_str),
+        Some("no_candidate"),
+        "uniform traffic must not be refined: {refined:?}"
+    );
+
+    assert_eq!(
+        answers[&4].get("id").and_then(Value::as_u64),
+        id_of(ws.query("circ01", &query_dims).unwrap()),
+        "query diverges from the workspace"
+    );
+
+    let metrics = &answers[&5];
+    let stages = metrics.get("stages").and_then(Value::as_object).unwrap();
+    assert!(stages.get("dispatch").is_some(), "{stages:?}");
+    assert!(stages.get("pool").is_none(), "no pool stage: {stages:?}");
+    for lane in metrics.get("lanes").and_then(Value::as_array).unwrap() {
+        let name = lane.get("name").and_then(Value::as_str).unwrap();
+        assert!(!name.starts_with("worker-"), "no worker lane: {name}");
+    }
+    assert!(metrics.get("pool").is_none() && metrics.get("workers").is_none());
+    assert!(answers[&6].get("workers").is_none(), "{:?}", answers[&6]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -46,7 +46,6 @@ fn refinement_under_live_load_never_diverges_and_survives_restart() {
 
     let server = Arc::new(
         ws.serve_server(ServerConfig {
-            workers: 3,
             cache_entries: 512,
             ..ServerConfig::default()
         })
