@@ -8,7 +8,7 @@
 //! cargo run --release -p mps-bench --bin loadgen -- out/structures \
 //!     [--server target/release/mps-serve] [--clients 1,4,16] \
 //!     [--requests N] [--pipeline D] [--hot FRAC] [--batch N] \
-//!     [--reload-interval-ms M] [--min-qps Q] [--require-cache-speedup S] \
+//!     [--reload-interval-ms M] [--min-qps Q] [--require-cache-dispatch-speedup S] \
 //!     [--scale-clients 64,256,1024] [--min-scaling X] \
 //!     [--max-batch-interference R] \
 //!     [--max-telemetry-overhead R] [--require-refine-gain] \
@@ -28,7 +28,13 @@
 //!   microseconds of placement materialization + coordinate
 //!   rendering) — and `hotspot_uncached`, the same stream against a
 //!   server started with `--cache-entries 0`: the cached/uncached
-//!   comparison the `--require-cache-speedup` gate judges;
+//!   comparison. `--require-cache-dispatch-speedup S` fails the run
+//!   unless the uncached server's mean dispatch span is at least `S`
+//!   times the cached server's — what a hit saves inside the server.
+//!   The end-to-end QPS ratio of the two runs is recorded, not gated:
+//!   a hit saves microseconds of a request whose cost is mostly the
+//!   wire, the parse and the verifying clients on the same cores, so
+//!   that ratio sits near 1 and swings with scheduling;
 //! * `churn` at the highest level — the hotspot stream while a writer
 //!   connection hot-reloads the registry every few milliseconds
 //!   (adversarial: every reload invalidates the cache all-or-nothing);
@@ -83,8 +89,9 @@
 //! p99 (both on the same histogram bucket grid): the server's interior
 //! view of a request can never be slower than the client's end-to-end
 //! view of the same traffic, so a violation means the telemetry layer
-//! is lying. The server-side figure rides along in every scenario
-//! record as `server_p99_ns`.
+//! is lying. The server-side figures ride along in every scenario
+//! record as `server_p99_ns` and `server_mean_ns` (the mean dispatch
+//! span, which the cache gate compares).
 //!
 //! Every response is matched by its `req` tag and diffed against the
 //! reference answer; any divergence or refusal fails the run. `--min-qps`
@@ -290,6 +297,10 @@ struct ScenarioOutcome {
     /// The server's own dispatch-stage p99 from its `metrics` response
     /// (0 when telemetry is off or nothing went through `dispatch`).
     server_p99_ns: u64,
+    /// The server's mean dispatch span (`sum_ns / count` of the same
+    /// histogram): the in-process cost of a request, which the answer
+    /// cache exists to cut (0 when telemetry is off).
+    server_mean_ns: f64,
     /// The client-observed p99 pushed through the same log-linear
     /// histogram grid the server uses, so the two percentiles round
     /// identically and `server_p99_ns <= client_p99_grid_ns` is exact.
@@ -471,12 +482,16 @@ fn run_scenario(
         .and_then(|c| c.get("hit_rate"))
         .and_then(Value::as_f64)
         .unwrap_or(0.0);
-    let server_p99_ns = metrics_snapshot(addr)
-        .get("stages")
-        .and_then(|s| s.get("dispatch"))
-        .and_then(|d| d.get("p99_ns"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
+    let metrics = metrics_snapshot(addr);
+    let dispatch = metrics.get("stages").and_then(|s| s.get("dispatch"));
+    let dispatch_u64 = |field: &str| {
+        dispatch
+            .and_then(|d| d.get(field))
+            .and_then(Value::as_u64)
+            .unwrap_or(0)
+    };
+    let server_p99_ns = dispatch_u64("p99_ns");
+    let server_mean_ns = dispatch_u64("sum_ns") as f64 / dispatch_u64("count").max(1) as f64;
     let grid = LatencyHistogram::new();
     for &ns in &latencies {
         grid.record(ns);
@@ -494,6 +509,7 @@ fn run_scenario(
         hit_rate,
         reloads: reloads.load(Ordering::Relaxed),
         server_p99_ns,
+        server_mean_ns,
         client_p99_grid_ns: grid.snapshot().percentile(0.99),
     }
 }
@@ -636,6 +652,7 @@ fn run_interference(
         // this client never sees, so the interior-vs-wire p99 check of
         // `record` does not apply to the loaded phase.
         round_loaded.server_p99_ns = 0;
+        round_loaded.server_mean_ns = 0.0;
         for o in [&warmup, &round_alone, &round_loaded] {
             divergences += o.divergences;
             refusals += o.refusals;
@@ -683,6 +700,7 @@ fn outcome_value(mix: &str, clients: usize, o: &ScenarioOutcome) -> Value {
             .to_value(),
     );
     m.insert("server_p99_ns", o.server_p99_ns.to_value());
+    m.insert("server_mean_ns", o.server_mean_ns.round().to_value());
     m.insert("cache_hit_rate", o.hit_rate.to_value());
     m.insert("reloads", o.reloads.to_value());
     m.insert("divergences", o.divergences.to_value());
@@ -700,7 +718,8 @@ fn main() {
             eprintln!(
                 "usage: loadgen <ARTIFACT_DIR> [--server PATH] [--clients 1,4,16] \
                  [--requests N] [--pipeline D] [--hot FRAC] [--batch N] \
-                 [--reload-interval-ms M] [--min-qps Q] [--require-cache-speedup S] \
+                 [--reload-interval-ms M] [--min-qps Q] \
+                 [--require-cache-dispatch-speedup S] \
                  [--scale-clients 64,256,1024] [--min-scaling X] \
                  [--max-batch-interference R] [--max-telemetry-overhead R] \
                   [--require-refine-gain] [--refine-attempts N]"
@@ -725,7 +744,8 @@ fn main() {
     let batch_len: usize = arg_value("batch").unwrap_or(64);
     let reload_ms: u64 = arg_value("reload-interval-ms").unwrap_or(10);
     let min_qps: f64 = arg_value("min-qps").unwrap_or(0.0);
-    let require_cache_speedup: f64 = arg_value("require-cache-speedup").unwrap_or(0.0);
+    let require_cache_dispatch_speedup: f64 =
+        arg_value("require-cache-dispatch-speedup").unwrap_or(0.0);
     let scale_arg: String = arg_value("scale-clients").unwrap_or_else(|| "64,256,1024".to_owned());
     let scale_levels: Vec<usize> = if scale_arg.trim().is_empty() || scale_arg.trim() == "none" {
         Vec::new()
@@ -1032,6 +1052,7 @@ fn main() {
     record("hotspot_uncached", max_clients, &uncached);
     drop(server);
     let cache_speedup = cached.qps / uncached.qps.max(1e-9);
+    let cache_dispatch_speedup = uncached.server_mean_ns / cached.server_mean_ns.max(1e-9);
 
     let server = spawn_server(&server_bin, &dir, &[]);
     eprintln!(
@@ -1385,8 +1406,9 @@ fn main() {
         )
     );
     println!(
-        "cached vs uncached hot-spot stream: {:.0} vs {:.0} req/s ({cache_speedup:.2}x)",
-        cached.qps, uncached.qps
+        "cached vs uncached hot-spot stream: {:.0} vs {:.0} req/s ({cache_speedup:.2}x), \
+         mean server dispatch {:.0} vs {:.0} ns ({cache_dispatch_speedup:.2}x)",
+        cached.qps, uncached.qps, cached.server_mean_ns, uncached.server_mean_ns
     );
     for (placement, probe) in [
         ("different shards", &interference),
@@ -1452,6 +1474,18 @@ fn main() {
         "speedup",
         ((cache_speedup * 100.0).round() / 100.0).to_value(),
     );
+    comparison.insert(
+        "cached_server_mean_ns",
+        cached.server_mean_ns.round().to_value(),
+    );
+    comparison.insert(
+        "uncached_server_mean_ns",
+        uncached.server_mean_ns.round().to_value(),
+    );
+    comparison.insert(
+        "dispatch_speedup",
+        ((cache_dispatch_speedup * 100.0).round() / 100.0).to_value(),
+    );
     comparison.insert("cached_hit_rate", cached.hit_rate.to_value());
     top.insert("cache_comparison", Value::Object(comparison));
     let mut overhead = Map::new();
@@ -1466,10 +1500,13 @@ fn main() {
     let mut gates = Map::new();
     gates.insert("min_qps", min_qps.to_value());
     gates.insert("measured_qps", uniform_qps_at_max.round().to_value());
-    gates.insert("require_cache_speedup", require_cache_speedup.to_value());
     gates.insert(
-        "measured_cache_speedup",
-        ((cache_speedup * 100.0).round() / 100.0).to_value(),
+        "require_cache_dispatch_speedup",
+        require_cache_dispatch_speedup.to_value(),
+    );
+    gates.insert(
+        "measured_cache_dispatch_speedup",
+        ((cache_dispatch_speedup * 100.0).round() / 100.0).to_value(),
     );
     let scaling_ratio = if uniform_qps_at_1 > 0.0 {
         uniform_qps_at_cores / uniform_qps_at_1
@@ -1530,11 +1567,18 @@ fn main() {
              below the required {min_qps:.0}"
         ));
     }
-    if require_cache_speedup > 0.0 && cache_speedup < require_cache_speedup {
-        fail(&format!(
-            "the cached hot-spot stream is only {cache_speedup:.2}x the uncached run, \
-             below the required {require_cache_speedup:.2}x"
-        ));
+    if require_cache_dispatch_speedup > 0.0 {
+        if cached.server_mean_ns <= 0.0 || uncached.server_mean_ns <= 0.0 {
+            fail("the hot-spot servers reported no dispatch telemetry to compare");
+        }
+        if cache_dispatch_speedup < require_cache_dispatch_speedup {
+            fail(&format!(
+                "the uncached server's mean dispatch span ({:.0} ns) is only \
+                 {cache_dispatch_speedup:.2}x the cached server's ({:.0} ns), below the \
+                 required {require_cache_dispatch_speedup:.2}x",
+                uncached.server_mean_ns, cached.server_mean_ns
+            ));
+        }
     }
     if min_scaling > 0.0 {
         if cores < 2 {
@@ -1606,7 +1650,7 @@ fn main() {
     }
     println!(
         "loadgen: OK — {} scenario(s), 0 divergences, uniform@{max_clients} {:.0} QPS, \
-         cache speedup {cache_speedup:.2}x",
+         cache dispatch speedup {cache_dispatch_speedup:.2}x",
         scenario_rows.len(),
         uniform_qps_at_max
     );
