@@ -65,12 +65,13 @@
 //!   against two cache-disabled servers (`--cache-entries 0`, so every
 //!   request takes the full parse → dispatch → index → render pipeline
 //!   and the two sides differ by nothing but recording), one default
-//!   and one `--telemetry off`, an unmeasured warmup burst then
-//!   best-of-3 each side: what the telemetry layer's recording costs,
-//!   which `--max-telemetry-overhead R` caps (fail when the
-//!   telemetry-off QPS exceeds `R` times the telemetry-on QPS; skipped
-//!   with a warning on single-core machines, where the ratio measures
-//!   scheduling);
+//!   and one `--telemetry off`, best-of-3 each side with the rounds
+//!   alternating between the sides (on, off, on, off, on, off) and an
+//!   unmeasured warmup burst per round: what the telemetry layer's
+//!   recording costs, which `--max-telemetry-overhead R` caps (fail
+//!   when the telemetry-off QPS exceeds `R` times the telemetry-on QPS;
+//!   skipped with a warning on single-core machines, where the ratio
+//!   measures scheduling);
 //! * `refinement_before` / `refinement_after` — traffic-adaptive
 //!   refinement end to end in a scenario-private artifact directory: a
 //!   deliberately under-annealed structure takes concentrated hot-set
@@ -97,10 +98,13 @@
 //! reference answer; any divergence or refusal fails the run. `--min-qps`
 //! fails the run when the highest-concurrency uniform scenario is slower.
 //! `--min-scaling X` fails the run unless uniform QPS at `<cores>`
-//! clients is at least `X` times the 1-client figure; the gate skips
-//! with a warning on single-core machines, where there is nothing to
-//! scale onto. The scaling curve is additionally written to
-//! `out/BENCH_scaling.json` for CI artifact upload.
+//! clients is at least `X` times the 1-client figure, both measured as
+//! the `scaling` rows the way the telemetry sides are (warmed up,
+//! best-of-3, alternating rounds, at least 2000 requests per client);
+//! the gate skips with a warning on single-core machines, where there
+//! is nothing to scale onto. The single-run `uniform` curve is
+//! additionally written to `out/BENCH_scaling.json` for CI artifact
+//! upload.
 
 use mps_bench::cli::arg_value;
 use mps_bench::{markdown_table, random_dims, write_artifact};
@@ -766,13 +770,6 @@ fn main() {
     let require_refine_gain = std::env::args().any(|a| a == "--require-refine-gain");
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
-    // The scaling gate compares uniform QPS at `cores` clients to the
-    // 1-client figure, so both levels must be measured regardless of
-    // what `--clients` asked for.
-    if min_scaling > 0.0 {
-        client_levels.push(1);
-        client_levels.push(cores);
-    }
     client_levels.sort_unstable();
     client_levels.dedup();
     let max_clients = *client_levels.last().unwrap_or(&1);
@@ -966,8 +963,6 @@ fn main() {
     };
 
     let mut uniform_qps_at_max = 0.0;
-    let mut uniform_qps_at_1 = 0.0;
-    let mut uniform_qps_at_cores = 0.0;
     for &clients in &client_levels {
         let server = spawn_server(&server_bin, &dir, &[]);
         eprintln!("loadgen: uniform x{clients} against {}", server.addr);
@@ -983,12 +978,6 @@ fn main() {
         total_refusals += o.refusals;
         if clients == max_clients {
             uniform_qps_at_max = o.qps;
-        }
-        if clients == 1 {
-            uniform_qps_at_1 = o.qps;
-        }
-        if clients == cores {
-            uniform_qps_at_cores = o.qps;
         }
         scaling.insert(clients.to_string(), o.qps.round().to_value());
         record("uniform", clients, &o);
@@ -1125,74 +1114,94 @@ fn main() {
     }
     let batch_interference = interference.ratio();
 
-    // Telemetry overhead: the same uniform stream against a default
-    // server (telemetry on) and one started with `--telemetry off`,
-    // best-of-3 per side — max-of-N is the standard noise filter for a
-    // ratio gate this tight (the claim is "under 5%", and OS jitter
-    // alone exceeds that in a single short run). Each round warms the
-    // fresh server with an unmeasured burst first: the measured window
-    // must be steady state, not allocator/page-cache/accept-path
-    // startup, or the ratio measures boot noise instead of recording.
-    let overhead_requests = requests.max(2000);
-    let overhead_clients = max_clients;
+    // The two ratio gates, scaling (uniform QPS at `cores` clients over
+    // the 1-client figure) and telemetry overhead, compare two servers
+    // on a uniform stream, best-of-3 per side: max-of-N is the standard
+    // noise filter for a ratio gate (a single cold run per side swings
+    // the scaling ratio several-fold, and OS jitter alone exceeds the
+    // telemetry gate's 5% in a single short run). The
+    // sides' rounds alternate (a, b, a, b, a, b), so host drift lands
+    // on both sides instead of on whichever runs last. Each round warms
+    // its fresh server with an unmeasured burst first: the measured
+    // window must be steady state, not allocator/page-cache/accept-path
+    // startup, or the ratio measures boot noise.
+    let compare_requests = requests.max(2000);
+    let warmup_requests = 200;
+    let compare_clients = max_clients.max(cores);
     // A pool at least as large as the total request count, so no vector
     // repeats (see run_scenario): the uniform pool is sized for
-    // `--requests` per client, fewer than this run sends.
-    let overhead_pool: Arc<Vec<PoolEntry>> = Arc::new(
-        (0..(overhead_clients * overhead_requests).next_power_of_two())
-            .map(|k| {
-                let (name, mps) = &structures[k % structures.len()];
-                let dims = uniform_dims(&mut rng, name, mps);
-                query_entry(name, mps, &dims)
-            })
-            .collect(),
-    );
-    let mut best_of_3 = |extra_args: &[&str], label: &str| -> ScenarioOutcome {
-        let mut best: Option<ScenarioOutcome> = None;
+    // `--requests` per client, fewer than these runs send. The warm-up
+    // burst has vectors of its own, so it never fills a cache-enabled
+    // server's answer cache with the measured window's vectors.
+    let mut uniform_queries = |len: usize| -> Arc<Vec<PoolEntry>> {
+        Arc::new(
+            (0..len)
+                .map(|k| {
+                    let (name, mps) = &structures[k % structures.len()];
+                    let dims = uniform_dims(&mut rng, name, mps);
+                    query_entry(name, mps, &dims)
+                })
+                .collect(),
+        )
+    };
+    let compare_pool = uniform_queries((compare_clients * compare_requests).next_power_of_two());
+    let warmup_pool = uniform_queries(compare_clients * warmup_requests);
+    let mut best_of_3 = |sides: [(&str, usize, &[&str]); 2]| -> [ScenarioOutcome; 2] {
+        let mut best: [Option<ScenarioOutcome>; 2] = [None, None];
         for round in 1..=3 {
-            let server = spawn_server(&server_bin, &dir, extra_args);
-            eprintln!(
-                "loadgen: {label} x{overhead_clients} round {round}/3 against {}",
-                server.addr
-            );
-            let warmup = run_scenario(
-                &server.addr,
-                overhead_clients,
-                200,
-                pipeline,
-                &overhead_pool,
-                None,
-            );
-            total_divergences += warmup.divergences;
-            total_refusals += warmup.refusals;
-            let o = run_scenario(
-                &server.addr,
-                overhead_clients,
-                overhead_requests,
-                pipeline,
-                &overhead_pool,
-                None,
-            );
-            total_divergences += o.divergences;
-            total_refusals += o.refusals;
-            if best.as_ref().is_none_or(|b| o.qps > b.qps) {
-                best = Some(o);
+            for (best, &(label, clients, extra_args)) in best.iter_mut().zip(&sides) {
+                let server = spawn_server(&server_bin, &dir, extra_args);
+                eprintln!(
+                    "loadgen: {label} x{clients} round {round}/3 against {}",
+                    server.addr
+                );
+                let warmup = run_scenario(
+                    &server.addr,
+                    clients,
+                    warmup_requests,
+                    pipeline,
+                    &warmup_pool,
+                    None,
+                );
+                total_divergences += warmup.divergences;
+                total_refusals += warmup.refusals;
+                let o = run_scenario(
+                    &server.addr,
+                    clients,
+                    compare_requests,
+                    pipeline,
+                    &compare_pool,
+                    None,
+                );
+                total_divergences += o.divergences;
+                total_refusals += o.refusals;
+                if best.as_ref().is_none_or(|b| o.qps > b.qps) {
+                    *best = Some(o);
+                }
             }
         }
-        best.expect("three rounds ran")
+        best.map(|b| b.expect("three rounds ran"))
     };
-    // Both sides run cache-disabled: with the answer cache on, the
-    // measured mix depends on how the client index stride happens to
-    // overlap the pool, and the cheapest (replay) path dominates. With
-    // it off every request takes the full pipeline on both servers —
-    // the paths being compared are identical except for recording.
-    let telemetry_on = best_of_3(&["--cache-entries", "0"], "telemetry_on");
-    let telemetry_off = best_of_3(
-        &["--cache-entries", "0", "--telemetry", "off"],
-        "telemetry_off",
-    );
-    record("telemetry_on", overhead_clients, &telemetry_on);
-    record("telemetry_off", overhead_clients, &telemetry_off);
+    let [scaling_1, scaling_cores] = best_of_3([("scaling", 1, &[]), ("scaling", cores, &[])]);
+    record("scaling", 1, &scaling_1);
+    record("scaling", cores, &scaling_cores);
+    let scaling_ratio = scaling_cores.qps / scaling_1.qps.max(1e-9);
+    // Both telemetry sides run cache-disabled: with the answer cache
+    // on, the measured mix depends on how the client index stride
+    // happens to overlap the pool, and the cheapest (replay) path
+    // dominates. With it off every request takes the full pipeline on
+    // both servers — the paths being compared are identical except
+    // for recording.
+    let [telemetry_on, telemetry_off] = best_of_3([
+        ("telemetry_on", max_clients, &["--cache-entries", "0"]),
+        (
+            "telemetry_off",
+            max_clients,
+            &["--cache-entries", "0", "--telemetry", "off"],
+        ),
+    ]);
+    record("telemetry_on", max_clients, &telemetry_on);
+    record("telemetry_off", max_clients, &telemetry_off);
     // > 1 means recording costs throughput; the gate caps the ratio.
     let telemetry_overhead = telemetry_off.qps / telemetry_on.qps.max(1e-9);
 
@@ -1433,14 +1442,11 @@ fn main() {
          hot-set cost {server_cost_before} -> {server_cost_after} \
          (gain {refine_gain_ppm} ppm, client-side {client_cost_before} -> {client_cost_after})"
     );
-    if uniform_qps_at_1 > 0.0 && uniform_qps_at_cores > 0.0 {
-        println!(
-            "uniform scaling 1 -> {cores} client(s): {:.0} -> {:.0} req/s ({:.2}x)",
-            uniform_qps_at_1,
-            uniform_qps_at_cores,
-            uniform_qps_at_cores / uniform_qps_at_1
-        );
-    }
+    println!(
+        "uniform scaling 1 -> {cores} client(s) (best of 3): {:.0} -> {:.0} req/s \
+         ({scaling_ratio:.2}x)",
+        scaling_1.qps, scaling_cores.qps
+    );
 
     let mut top = Map::new();
     top.insert("bench", Value::String("loadgen".to_owned()));
@@ -1508,11 +1514,6 @@ fn main() {
         "measured_cache_dispatch_speedup",
         ((cache_dispatch_speedup * 100.0).round() / 100.0).to_value(),
     );
-    let scaling_ratio = if uniform_qps_at_1 > 0.0 {
-        uniform_qps_at_cores / uniform_qps_at_1
-    } else {
-        0.0
-    };
     gates.insert("min_scaling", min_scaling.to_value());
     gates.insert(
         "measured_scaling",

@@ -157,7 +157,6 @@ pub enum StructureSource {
 /// or belongs to a different circuit, and panics on invalid benchmark
 /// circuits or unwritable `--save` directories — measurement runs have no
 /// useful recovery.
-#[cfg(feature = "serde")]
 #[must_use]
 pub fn obtain_structure(
     name: &str,
@@ -211,30 +210,6 @@ pub fn obtain_structure(
     (mps, StructureSource::Generated(report))
 }
 
-/// Without the `serde` feature there is no persistence layer; the flags
-/// are rejected instead of silently ignored.
-#[cfg(not(feature = "serde"))]
-#[must_use]
-pub fn obtain_structure(
-    name: &str,
-    circuit: &Circuit,
-    config: GeneratorConfig,
-    args: &PersistArgs,
-) -> (MultiPlacementStructure, StructureSource) {
-    if args.load.is_some() || args.save.is_some() {
-        eprintln!(
-            "error: --load/--save require mps-bench to be built with the \
-             `serde` feature (on by default)"
-        );
-        std::process::exit(2);
-    }
-    let _ = name;
-    let (mps, report) = mps_core::MpsGenerator::new(circuit, config)
-        .generate_with_report()
-        .expect("benchmark circuits are valid");
-    (mps, StructureSource::Generated(report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,7 +220,6 @@ mod tests {
         assert_eq!(p, PathBuf::from("/tmp/arts/circ02.mps.json"));
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn obtain_generates_and_saves_through_the_workspace() {
         use mps_netlist::benchmarks;

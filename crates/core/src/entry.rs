@@ -65,7 +65,6 @@ impl StoredPlacement {
     }
 }
 
-#[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
     use serde::{Deserialize, Error, Map, Serialize, Value};
@@ -223,7 +222,6 @@ mod tests {
         assert_eq!(id.index(), 7);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn serde_roundtrip() {
         let sp = sample();

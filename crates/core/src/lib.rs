@@ -55,7 +55,6 @@ mod explorer;
 mod generator;
 mod invariant;
 pub mod parallel;
-#[cfg(feature = "serde")]
 mod persist;
 mod refine;
 mod resolve;
@@ -71,7 +70,6 @@ pub use generator::{
     GenerateError, GenerationReport, GeneratorConfig, GeneratorConfigBuilder, MpsGenerator,
 };
 pub use invariant::InvariantError;
-#[cfg(feature = "serde")]
 pub use persist::{
     PersistError, BIN_MAGIC as PERSIST_BIN_MAGIC, BIN_VERSION as PERSIST_BIN_VERSION,
     FORMAT as PERSIST_FORMAT,

@@ -561,8 +561,11 @@ mod tests {
     fn save_load_bin_and_auto_detect_through_files() {
         let mps = sample_structure();
         let dir = std::env::temp_dir();
-        let bin_path = dir.join(format!("mps_persist_unit_test_{}.mpsb", std::process::id()));
-        let json_path = dir.join(format!("mps_persist_unit_test_{}.json", std::process::id()));
+        // Names unique to this test: the unit tests run on parallel threads
+        // of one process, so a name shared with another test lets its
+        // cleanup delete this test's file mid-read.
+        let bin_path = dir.join(format!("mps_persist_auto_test_{}.mpsb", std::process::id()));
+        let json_path = dir.join(format!("mps_persist_auto_test_{}.json", std::process::id()));
         mps.save_bin(&bin_path).unwrap();
         mps.save_json(&json_path).unwrap();
         let from_bin = MultiPlacementStructure::load_bin(&bin_path).unwrap();
@@ -658,7 +661,7 @@ mod tests {
     fn save_and_load_through_a_file() {
         let mps = sample_structure();
         let path =
-            std::env::temp_dir().join(format!("mps_persist_unit_test_{}.json", std::process::id()));
+            std::env::temp_dir().join(format!("mps_persist_file_test_{}.json", std::process::id()));
         mps.save_json(&path).unwrap();
         let back = MultiPlacementStructure::load_json(&path).unwrap();
         assert_eq!(back.to_json(), mps.to_json());

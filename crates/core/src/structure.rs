@@ -568,7 +568,6 @@ impl MultiPlacementStructure {
     }
 }
 
-#[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
     use serde::{Deserialize, Error, Map, Serialize, Value};
@@ -905,7 +904,6 @@ mod tests {
         mps.check_invariants().unwrap();
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn serde_roundtrip_preserves_queries() {
         let (_, mps) = two_entry_structure();

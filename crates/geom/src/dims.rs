@@ -287,7 +287,6 @@ macro_rules! dims {
     };
 }
 
-#[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
     use serde::{Deserialize, Error, Serialize, Value};
@@ -424,7 +423,6 @@ mod tests {
         let _ = dims![(20, 20), (30, 30)].clamp_to_bounds(&bounds);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn serde_matches_raw_vector_wire_format() {
         use serde::Serialize;

@@ -345,16 +345,12 @@ impl FromIterator<BlockRanges> for DimsBox {
     }
 }
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(BlockRanges { w, h });
 
-#[cfg(feature = "serde")]
 serde::impl_serde_unit_enum!(Axis { Width, Height });
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(DimIndex { block, axis });
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(DimsBox { ranges });
 
 mod binfmt_impls {

@@ -259,7 +259,6 @@ impl From<(Coord, Coord)> for Interval {
     }
 }
 
-#[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
     use serde::{Deserialize, Error, Map, Serialize, Value};
@@ -462,7 +461,6 @@ mod tests {
         assert!(Interval::new(0, 2) < Interval::new(0, 5));
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn serde_roundtrip() {
         let a = Interval::new(-3, 12);

@@ -344,7 +344,6 @@ impl<T: Copy + Ord> Extend<(Interval, T)> for IntervalMap<T> {
     }
 }
 
-#[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
     use serde::{Deserialize, Error, Map, Serialize, Value};

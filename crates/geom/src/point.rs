@@ -79,7 +79,6 @@ impl From<(Coord, Coord)> for Point {
     }
 }
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(Point { x, y });
 
 mod binfmt_impls {

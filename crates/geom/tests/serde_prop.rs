@@ -2,7 +2,6 @@
 //! type: arbitrary value → JSON text → back → `Eq`, plus malformed-input
 //! rejection (the loader must error, never panic, never construct a value
 //! violating the type's invariants).
-#![cfg(feature = "serde")]
 
 use mps_geom::{BlockRanges, DimIndex, Dims, DimsBox, Interval, IntervalMap, Point, Rect};
 use proptest::prelude::*;

@@ -386,7 +386,6 @@ impl CircuitBuilder {
     }
 }
 
-#[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
     use serde::{Deserialize, Error, Map, Serialize, Value};
@@ -539,7 +538,6 @@ mod tests {
         assert_eq!(c.terminal_count(), 1);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn serde_roundtrip() {
         let c = two_block_circuit();

@@ -467,7 +467,6 @@ pub fn array_circuit(rows: usize, cols: usize, scale: f64) -> (crate::Circuit, S
     (circuit, SizingModel::new(generators))
 }
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(MosfetGenerator {
     finger_pitch,
     guard,
@@ -475,13 +474,11 @@ serde::impl_serde_struct!(MosfetGenerator {
     max_total_width,
 });
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(DiffPairGenerator {
     mosfet,
     matching_margin,
 });
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(CapacitorGenerator {
     density,
     ring,
@@ -490,7 +487,6 @@ serde::impl_serde_struct!(CapacitorGenerator {
     aspect,
 });
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(ResistorGenerator {
     strip_width,
     strip_gap,
@@ -499,10 +495,8 @@ serde::impl_serde_struct!(ResistorGenerator {
     max_squares,
 });
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(SizingModel { generators });
 
-#[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
     use serde::{Deserialize, Error, Map, Serialize, Value};

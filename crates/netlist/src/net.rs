@@ -258,7 +258,6 @@ impl fmt::Display for Net {
     }
 }
 
-#[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
     use serde::{Deserialize, Error, Map, Serialize, Value};
@@ -360,10 +359,8 @@ mod serde_impls {
     }
 }
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(Pin { block, offset });
 
-#[cfg(feature = "serde")]
 serde::impl_serde_unit_enum!(PadSide {
     Left,
     Right,

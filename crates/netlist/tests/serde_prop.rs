@@ -1,7 +1,6 @@
 //! Property-based round-trip coverage of the serializable netlist types:
 //! arbitrary circuits and sizing models → JSON → back → `Eq`, plus
 //! malformed-input rejection.
-#![cfg(feature = "serde")]
 
 use mps_netlist::modgen::{
     CapacitorGenerator, DiffPairGenerator, Generator, MosfetGenerator, ResistorGenerator,

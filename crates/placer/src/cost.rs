@@ -225,7 +225,6 @@ impl<'a> CostCalculator<'a> {
     }
 }
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(CostWeights {
     wirelength,
     area,

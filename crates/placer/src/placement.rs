@@ -198,7 +198,6 @@ impl FromIterator<Point> for Placement {
     }
 }
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(Placement { coords });
 
 mod binfmt_impls {

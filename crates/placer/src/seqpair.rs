@@ -247,7 +247,6 @@ impl SequencePair {
     }
 }
 
-#[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
     use serde::{Deserialize, Error, Map, Serialize, Value};

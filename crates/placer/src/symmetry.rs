@@ -141,13 +141,11 @@ impl SymmetryConstraints {
     }
 }
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(SymmetryGroup {
     pairs,
     self_symmetric,
 });
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(SymmetryConstraints { groups });
 
 #[cfg(test)]

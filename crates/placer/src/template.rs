@@ -120,7 +120,6 @@ impl Template {
     }
 }
 
-#[cfg(feature = "serde")]
 serde::impl_serde_struct!(Template { seqpair });
 
 mod binfmt_impls {

@@ -55,17 +55,11 @@
 
 mod cache;
 mod compiled;
-#[cfg(feature = "serde")]
 pub mod frame;
-#[cfg(feature = "serde")]
 mod protocol;
-#[cfg(feature = "serde")]
 mod refine;
-#[cfg(feature = "serde")]
 mod registry;
-#[cfg(feature = "serde")]
 mod server;
-#[cfg(feature = "serde")]
 mod shard;
 mod telemetry;
 
@@ -83,14 +77,11 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 pub use cache::{AnswerCache, CacheClass, CacheLookup, CacheStats, MissToken};
 pub use compiled::{CompiledIndex, IndexPlan, QueryScratch};
-#[cfg(feature = "serde")]
 pub use protocol::{
     error_response, parse_envelope, parse_request, tagged_error_response, Envelope, EnvelopeError,
     ErrorKind, Request, RequestError, REQUEST_KINDS,
 };
-#[cfg(feature = "serde")]
 pub use registry::{ReloadReport, ServeError, ServedStructure, StructureRegistry};
-#[cfg(feature = "serde")]
 pub use server::{Server, ServerConfig};
 pub use telemetry::{
     HeatSnapshot, HistogramSnapshot, LaneStats, LatencyHistogram, SlowRing, Stage, StageTrace,

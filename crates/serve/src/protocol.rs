@@ -84,8 +84,8 @@ pub enum Request {
     /// Sorted names of every served structure.
     ListStructures,
     /// The full telemetry snapshot: per-stage latency histograms per
-    /// lane, per-structure query-dimension heatmaps, cache/pool/
-    /// connection gauges.
+    /// lane, per-structure query-dimension heatmaps, cache/connection/
+    /// refinement gauges.
     Metrics,
     /// Drain the slow-request ring: the N worst requests since the last
     /// `trace`, each with its per-stage time breakdown.

@@ -2,10 +2,10 @@
 //! per-stage span accounting, per-structure query-dimension heatmaps,
 //! and a bounded slow-request ring.
 //!
-//! Everything here is plain `std` — no network, no serialization, no
-//! feature gates — so the serving layer can record on its hot path with
-//! nothing but atomic adds, and the protocol layer renders snapshots
-//! into the `metrics`/`trace` responses separately.
+//! Everything here is plain `std` — no network, no serialization — so
+//! the serving layer can record on its hot path with nothing but atomic
+//! adds, and the protocol layer renders snapshots into the
+//! `metrics`/`trace` responses separately.
 //!
 //! # Recording model
 //!

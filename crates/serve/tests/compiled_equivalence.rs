@@ -140,7 +140,6 @@ fn ten_thousand_probes_on_generated_structures() {
 /// The compiled index must agree with the interpretive path on a
 /// structure that went through a save/load cycle (the serving scenario:
 /// artifacts come from disk, not from the generating process).
-#[cfg(feature = "serde")]
 #[test]
 fn compiled_index_agrees_after_persistence_roundtrip() {
     let bm = benchmarks::by_name("circ01").unwrap();

@@ -2,7 +2,6 @@
 //! request-line defense over actual TCP, an invalid byte on stdin, and
 //! the `convert` subcommand round-tripping artifacts between `mps-v1`
 //! JSON and `mps-v2` binary.
-#![cfg(feature = "serde")]
 
 use mps_core::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
 use mps_netlist::benchmarks;

@@ -3,7 +3,6 @@
 //! truncated JSON to semantically wrong dimension vectors — must be
 //! answered with a single typed error line, the server must keep
 //! serving afterwards, and nothing may panic or kill the process.
-#![cfg(feature = "serde")]
 
 use mps_core::{GeneratorConfig, MpsGenerator};
 use mps_netlist::benchmarks;

@@ -4,7 +4,6 @@
 //! non-positive width/height is refused at the trust boundary with the
 //! typed `out_of_bounds` error (regression: these used to flow through
 //! `Dims::from_vec_unchecked` unvalidated).
-#![cfg(feature = "serde")]
 
 use mps_geom::Dims;
 use mps_serve::{parse_request, ErrorKind, Request};

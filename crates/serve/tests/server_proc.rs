@@ -2,7 +2,6 @@
 //! artifact, start the server process, pipe a query stream through
 //! stdin/stdout (and through the optional localhost TCP listener), and
 //! diff every answer against direct `query` calls on the same artifact.
-#![cfg(feature = "serde")]
 
 use mps_core::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
 use mps_geom::Coord;

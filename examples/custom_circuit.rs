@@ -75,7 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // read back through the validating loader: `load_json` re-checks the
     // format tag and every Eq.-5 invariant, so a corrupt or stale file
     // surfaces as an error here instead of garbage floorplans later.
-    #[cfg(feature = "serde")]
     let reloaded: MultiPlacementStructure = {
         // Process-unique name: concurrent runs (smoke test + developer)
         // must not race on a shared file.
@@ -91,8 +90,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::remove_file(&path)?;
         reloaded
     };
-    #[cfg(not(feature = "serde"))]
-    let reloaded: MultiPlacementStructure = mps.clone();
     reloaded.check_invariants().map_err(std::io::Error::other)?;
 
     // --- 5. Query the reloaded structure -------------------------------

@@ -77,7 +77,6 @@ pub use mps_netlist as netlist;
 pub use mps_placer as placer;
 pub use mps_serve as serve;
 
-#[cfg(feature = "serde")]
 pub mod api;
 
 // The facade's working vocabulary, promoted to the crate root.

@@ -9,7 +9,6 @@
 //! 1. `mps.query(&Dims)` — the typed interpretive path;
 //! 2. `ws.query(name, &Dims)` — the full facade (compiled index behind a
 //!    `Workspace` handle).
-#![cfg(feature = "serde")]
 
 use analog_mps::api::Workspace;
 use analog_mps::mps::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};

@@ -5,7 +5,6 @@
 //! either format must answer identically under a large random probe
 //! battery (≥ 1000 probes per circuit via
 //! [`CompiledIndex::verify_against`]).
-#![cfg(feature = "serde")]
 
 use analog_mps::mps::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
 use analog_mps::netlist::benchmarks;

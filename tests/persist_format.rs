@@ -7,7 +7,6 @@
 //! structure users have saved. The malformed-input battery asserts the
 //! validate-don't-trust contract of the loader: bad input of any kind is
 //! a typed `Err`, never a panic and never a quietly corrupt structure.
-#![cfg(feature = "serde")]
 
 use analog_mps::mps::{
     GeneratorConfig, MpsGenerator, MultiPlacementStructure, PersistError, PlacementId,

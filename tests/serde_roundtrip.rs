@@ -2,9 +2,8 @@
 //! reloaded must answer every query identically — the property the whole
 //! multi-placement workflow (Fig. 1) depends on.
 //!
-//! Served offline by the vendored serde/serde_json subsets; the `serde`
-//! feature is on by default, so this suite runs in a plain `cargo test`.
-#![cfg(feature = "serde")]
+//! Served offline by the vendored serde/serde_json subsets; persistence
+//! is always compiled in, so this suite runs in a plain `cargo test`.
 
 use analog_mps::mps::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
 use analog_mps::netlist::benchmarks;

@@ -5,7 +5,6 @@
 //! artifact. Zero divergence is tolerated: the sharded answer cache and
 //! the all-or-nothing reload invalidation must be invisible in the
 //! answers, visible only in the counters.
-#![cfg(feature = "serde")]
 
 use analog_mps::api::{ServerConfig, Workspace};
 use analog_mps::mps::GeneratorConfig;

@@ -7,7 +7,6 @@
 //! blend), zero requests may be dropped or errored, the registry
 //! generation must be monotone across publishes, and the refined
 //! artifact on disk must reload bit-identically after a "restart".
-#![cfg(feature = "serde")]
 
 use analog_mps::api::{ServerConfig, Workspace};
 use analog_mps::mps::GeneratorConfig;
